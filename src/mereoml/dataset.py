@@ -15,8 +15,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import MereomlError
 
@@ -50,6 +54,59 @@ class UnknownObject(MereomlError):
 
 class UnknownFeature(MereomlError):
     pass
+
+
+@dataclass(frozen=True)
+class EncodedTable:
+    """Value tokens as integer codes, one sorted vocabulary per column.
+
+    ``codes[i, j]`` is the position of row i's token in ``vocab[j]``, which
+    lists column j's distinct tokens in Python ``sorted`` order; ``index[j]``
+    maps each token back to its code.  Equal codes mean equal tokens, and a
+    smaller code means a smaller token.
+    """
+
+    codes: np.ndarray
+    vocab: tuple[tuple[str, ...], ...]
+    index: tuple[dict[str, int], ...]
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[str]], width: int) -> "EncodedTable":
+        """Encode ``width``-wide token rows with plain dicts.
+
+        Dicts keep every token distinct; a numpy string array would strip
+        trailing NUL characters and merge tokens that differ only by them.
+        """
+        # a column has at most len(rows) tokens; narrow codes compare faster
+        codes = np.empty((len(rows), width), dtype=np.int16 if len(rows) < 2**15 else np.int32)
+        vocab, index = [], []
+        for j in range(width):
+            column = [row[j] for row in rows]
+            tokens = tuple(sorted(set(column)))
+            code_of = {t: k for k, t in enumerate(tokens)}
+            codes[:, j] = [code_of[t] for t in column]
+            vocab.append(tokens)
+            index.append(code_of)
+        return cls(codes, tuple(vocab), tuple(index))
+
+    def lookup(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
+        """Codes of outside rows in this vocabulary; -1 for unseen tokens."""
+        codes = np.empty((len(rows), len(self.index)), dtype=self.codes.dtype)
+        for j, (index, column) in enumerate(zip(self.index, zip(*rows))):
+            codes[:, j] = list(map(index.get, column, repeat(-1)))
+        return codes
+
+
+def dis_count_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise count of differing columns between the code rows of a and b.
+
+    Accumulates one column at a time into the int16 result, so memory stays
+    O(len(a) * len(b)) however many columns there are.
+    """
+    out = np.zeros((len(a), len(b)), dtype=np.int16)
+    for col_a, col_b in zip(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)):
+        out += col_a[:, None] != col_b[None, :]
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,6 +149,11 @@ class InformationSystem:
     def value_set(self, feature: str) -> frozenset[str]:
         return frozenset(self.column(feature))
 
+    @cached_property
+    def encoded(self) -> EncodedTable:
+        """The table's codes and vocabularies, built on first use."""
+        return EncodedTable.from_rows(self.rows, len(self.features))
+
     def _check_object(self, obj: int) -> None:
         if not 0 <= obj < len(self.rows):
             raise UnknownObject(obj)
@@ -130,6 +192,11 @@ class DecisionSystem:
     @property
     def decision_values(self) -> frozenset[str]:
         return frozenset(self.decisions)
+
+    @cached_property
+    def decisions_encoded(self) -> EncodedTable:
+        """The decision column encoded as a one-column table."""
+        return EncodedTable.from_rows([(d,) for d in self.decisions], 1)
 
     def value(self, obj: int, feature: str) -> str:
         if feature == self.decision:

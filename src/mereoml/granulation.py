@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from statistics import fmean
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import DecisionSystem
+from .dataset import DecisionSystem, EncodedTable, dis_count_matrix
 from .errors import FoldError, MereomlError
 from .inclusion import (
     Degree,
@@ -43,7 +44,7 @@ def make_inclusion(kind: str, system) -> RoughInclusion:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Granule:
     """All objects whose degree of containment in the center reaches ``radius``."""
 
@@ -70,7 +71,8 @@ class GranularReflection:
     """The mirror table: one row per covering granule, values by vote.
 
     ``rows[i]`` holds the voted conditional values of granule i over
-    ``features``; ``decisions[i]`` the voted decision.
+    ``features``; ``decisions[i]`` the voted decision.  ``encoded`` and
+    ``decisions_encoded`` hold the same values as codes.
     """
 
     covering: Covering
@@ -78,6 +80,17 @@ class GranularReflection:
     rows: tuple[tuple[str, ...], ...]
     decisions: tuple[str, ...]
     strategy: str = "MV"
+    encoded: EncodedTable | None = field(default=None, compare=False, repr=False)
+    decisions_encoded: EncodedTable | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        # a mirror built by hand is encoded from its own tokens
+        if self.encoded is None:
+            encoded = EncodedTable.from_rows(self.rows, len(self.features))
+            object.__setattr__(self, "encoded", encoded)
+        if self.decisions_encoded is None:
+            encoded = EncodedTable.from_rows([(d,) for d in self.decisions], 1)
+            object.__setattr__(self, "decisions_encoded", encoded)
 
 
 @dataclass(frozen=True)
@@ -108,16 +121,20 @@ def radius_grid(feature_count: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, feature_count) for k in range(1, feature_count + 1))
 
 
+def _check_granule_args(r: Degree, inclusion: RoughInclusion) -> None:
+    if not inclusion.symmetric:
+        raise MereomlError("granules need a symmetric inclusion")
+    if not 0 <= r <= 1:
+        raise MereomlError(f"radius {r} outside [0, 1]")
+
+
 def granule(center: int, r: Degree, inclusion: RoughInclusion) -> Granule:
     """The neighborhood {y : degree(y, center) >= r}.
 
     Requires a symmetric inclusion; otherwise the neighborhood reading and
     the class-based reading of a granule part ways.
     """
-    if not inclusion.symmetric:
-        raise MereomlError("granules need a symmetric inclusion")
-    if not 0 <= r <= 1:
-        raise MereomlError(f"radius {r} outside [0, 1]")
+    _check_granule_args(r, inclusion)
     if hasattr(inclusion, "membership_mask"):
         mask = inclusion.membership_mask(center, r)
         members = frozenset(int(i) for i in np.nonzero(mask)[0])
@@ -128,9 +145,24 @@ def granule(center: int, r: Degree, inclusion: RoughInclusion) -> Granule:
 
 
 def all_granules(r: Degree, inclusion: RoughInclusion, system=None) -> tuple[Granule, ...]:
-    """One granule per object, in object order."""
+    """One granule per object, in object order.
+
+    With an inclusion offering ``membership_matrix``, every granule is a row
+    of one boolean matrix, split into member sets from a single ``nonzero``.
+    """
     universe = (system or inclusion.system).objects
-    return tuple(granule(x, r, inclusion) for x in universe)
+    if not hasattr(inclusion, "membership_matrix"):
+        return tuple(granule(x, r, inclusion) for x in universe)
+    _check_granule_args(r, inclusion)
+    matrix = inclusion.membership_matrix(r)
+    if system is not None:
+        matrix = matrix[np.asarray(universe, dtype=np.intp)]
+    members = np.nonzero(matrix)[1].tolist()
+    ends = np.cumsum(matrix.sum(axis=1)).tolist()
+    return tuple(
+        Granule(x, r, frozenset(members[start:end]))
+        for x, start, end in zip(universe, [0] + ends, ends)
+    )
 
 
 def irreducible_covering(granules: Sequence[Granule], universe: frozenset[int]) -> Covering:
@@ -138,8 +170,12 @@ def irreducible_covering(granules: Sequence[Granule], universe: frozenset[int]) 
 
     Greedy pass by descending member count (ties to the lower center id),
     then a reverse elimination pass: a granule added early can be made
-    redundant by later picks, so each is dropped again if the rest still
-    cover.  Deterministic.
+    redundant by later picks.  The reverse pass keeps, per object, the
+    number of kept granules covering it.  A granule is dropped iff it is not
+    the last one left, each of its members in the universe is covered at
+    least twice, and no other kept granule reaches outside the universe;
+    dropping it lowers its members' counts before the next, earlier pick is
+    tried.  Deterministic.
     """
     order = sorted(granules, key=lambda g: (-len(g.members), g.center))
     chosen: list[Granule] = []
@@ -147,17 +183,33 @@ def irreducible_covering(granules: Sequence[Granule], universe: frozenset[int]) 
     for g in order:
         if not uncovered:
             break
-        if g.members & uncovered:
+        if not uncovered.isdisjoint(g.members):
             chosen.append(g)
             uncovered -= g.members
     if uncovered:
         raise MereomlError(f"granules cannot cover objects {sorted(uncovered)}")
-    for g in reversed(chosen.copy()):
-        rest = [h for h in chosen if h is not g]
-        if rest and frozenset().union(*(h.members for h in rest)) == universe:
-            chosen.remove(g)
-    chosen.sort(key=lambda g: g.center)
-    return Covering(tuple(chosen), universe)
+    cover = Counter(chain.from_iterable(g.members for g in chosen))
+    once = {x for x, c in cover.items() if c == 1} & universe
+    strays = [not g.members <= universe for g in chosen]
+    kept_strays = sum(strays)
+    kept = [True] * len(chosen)
+    left = len(chosen)
+    for i in reversed(range(len(chosen))):
+        g = chosen[i]
+        # the rest cover the universe exactly: every member of g is covered
+        # again, and no other kept granule reaches outside the universe
+        if left > 1 and kept_strays == strays[i] and once.isdisjoint(g.members):
+            kept[i] = False
+            left -= 1
+            kept_strays -= strays[i]
+            for x in g.members:
+                cover[x] -= 1
+                if cover[x] == 1:
+                    once.add(x)
+    survivors = sorted(
+        (g for g, keep in zip(chosen, kept) if keep), key=lambda g: g.center
+    )
+    return Covering(tuple(survivors), universe)
 
 
 def majority_value(values: Sequence[str]) -> str:
@@ -169,85 +221,92 @@ def majority_value(values: Sequence[str]) -> str:
     return min(v for v, c in counts.items() if c == top)
 
 
+def _vote(membership: np.ndarray, table: EncodedTable) -> EncodedTable:
+    """Per row of the 0/1 ``membership`` matrix, each column's commonest code.
+
+    Per column, ``membership`` times a one-hot of the codes counts every
+    token among the row's members; codes follow sorted token order, so the
+    first maximum is the smallest tied token, as in :func:`majority_value`.
+    """
+    codes = np.empty((len(membership), len(table.vocab)), dtype=table.codes.dtype)
+    for j, tokens in enumerate(table.vocab):
+        one_hot = table.codes[:, j, None] == np.arange(len(tokens))
+        codes[:, j] = (membership @ one_hot.astype(membership.dtype)).argmax(axis=1)
+    return EncodedTable(codes, table.vocab, table.index)
+
+
+def _tokens(table: EncodedTable) -> tuple[tuple[str, ...], ...]:
+    """The code rows decoded back to token rows."""
+    columns = [
+        list(map(tokens.__getitem__, codes))
+        for tokens, codes in zip(table.vocab, table.codes.T.tolist())
+    ]
+    return tuple(zip(*columns)) if columns else ((),) * len(table.codes)
+
+
 def granular_mirror(
     covering: Covering, system: DecisionSystem, strategy: str = "MV"
 ) -> GranularReflection:
-    """Vote each granule into a single mirror row (conditional and decision)."""
+    """Vote each granule into a single mirror row (conditional and decision).
+
+    The covering becomes one granules x objects 0/1 matrix.  Per column,
+    that matrix times a one-hot of the column's codes counts each token in
+    each granule, and ``argmax`` picks the winner, ties going to the
+    smallest token as in :func:`majority_value`.  The mirror keeps the voted
+    codes for :func:`classify_many`.
+    """
     if strategy != "MV":
         raise MereomlError(f"unknown voting strategy {strategy!r}")
-    table = system.system
-    rows = []
-    decisions = []
-    for g in covering.granules:
-        members = sorted(g.members)
-        rows.append(
-            tuple(
-                majority_value([table.rows[x][j] for x in members])
-                for j in range(len(table.features))
-            )
-        )
-        decisions.append(majority_value([system.decisions[x] for x in members]))
+    sizes = [len(g.members) for g in covering.granules]
+    membership = np.zeros((len(sizes), len(system.decisions)), dtype=np.float32)
+    membership[
+        np.repeat(np.arange(len(sizes)), sizes),
+        [x for g in covering.granules for x in g.members],
+    ] = 1
+    rows = _vote(membership, system.system.encoded)
+    decisions = _vote(membership, system.decisions_encoded)
     return GranularReflection(
-        covering, table.features, tuple(rows), tuple(decisions), strategy
+        covering,
+        system.features,
+        _tokens(rows),
+        tuple(d for (d,) in _tokens(decisions)),
+        strategy,
+        rows,
+        decisions,
     )
-
-
-def _vote_nearest(tied: Sequence[int], decisions: Sequence[str]) -> str:
-    """Decision for a set of equally-near mirror rows.
-
-    Majority among the tied rows' decisions; if the vote itself ties, the
-    lowest-index tied row whose decision is among the leaders wins.
-    """
-    if len(tied) == 1:
-        return decisions[tied[0]]
-    counts = Counter(decisions[i] for i in tied)
-    top = max(counts.values())
-    leaders = {v for v, c in counts.items() if c == top}
-    for i in tied:
-        if decisions[i] in leaders:
-            return decisions[i]
-    raise AssertionError("unreachable: some tied row carries a leading decision")
 
 
 def classify(reflection: GranularReflection, test_row: Sequence[str]) -> str:
     """Decision of the mirror row agreeing with ``test_row`` on most features."""
-    if len(test_row) != len(reflection.features):
-        raise MereomlError(
-            f"test row has {len(test_row)} values, expected {len(reflection.features)}"
-        )
-    agreements = [
-        sum(a == b for a, b in zip(test_row, row)) for row in reflection.rows
-    ]
-    best = max(agreements)
-    tied = [i for i, a in enumerate(agreements) if a == best]
-    return _vote_nearest(tied, reflection.decisions)
+    return classify_many(reflection, [test_row])[0]
 
 
 def classify_many(
     reflection: GranularReflection, test_rows: Sequence[Sequence[str]]
 ) -> list[str]:
-    """Batch version of :func:`classify` with the same tie handling."""
+    """Decisions of the nearest mirror rows, for many test rows at once.
+
+    Test tokens are looked up in the mirror's vocabulary, and per test row
+    the mirror rows with the fewest differing features are tied.  A tie is
+    decided by majority among the tied rows' decisions, counted as the tie
+    mask times a one-hot of the mirror's decision codes; if that vote ties
+    too, the lowest-index tied row whose decision leads wins.
+    """
     if not test_rows:
         return []
     m = len(reflection.features)
     for row in test_rows:
         if len(row) != m:
             raise MereomlError(f"test row has {len(row)} values, expected {m}")
-    # code tokens per column over mirror and test rows jointly
-    mirror = np.empty((len(reflection.rows), m), dtype=np.int32)
-    tests = np.empty((len(test_rows), m), dtype=np.int32)
-    for j in range(m):
-        vocab: dict[str, int] = {}
-        for target, rows in ((mirror, reflection.rows), (tests, test_rows)):
-            for i, row in enumerate(rows):
-                target[i, j] = vocab.setdefault(row[j], len(vocab))
-    agreements = (tests[:, None, :] == mirror[None, :, :]).sum(axis=2)
-    out = []
-    for i in range(len(test_rows)):
-        best = agreements[i].max()
-        tied = np.nonzero(agreements[i] == best)[0].tolist()
-        out.append(_vote_nearest(tied, reflection.decisions))
-    return out
+    enc = reflection.encoded
+    dis = dis_count_matrix(enc.lookup(test_rows), enc.codes)
+    tied = dis == dis.min(axis=1, keepdims=True)
+    decisions = reflection.decisions_encoded.codes[:, 0]
+    one_hot = decisions[:, None] == np.arange(len(reflection.decisions_encoded.vocab[0]))
+    votes = tied.astype(np.float32) @ one_hot.astype(np.float32)
+    leaders = votes == votes.max(axis=1, keepdims=True)
+    winner = (tied & leaders[:, decisions]).argmax(axis=1)
+    return [reflection.decisions[i] for i in winner.tolist()]
 
 
 def stratified_folds(
@@ -285,6 +344,8 @@ def run_decider(
     construction of the nearest-row protocol.
     """
     m = len(system.features)
+    if radii is None and m == 0:
+        raise MereomlError("the table has no conditional features to build a radius grid from")
     grid = tuple(radii) if radii is not None else radius_grid(m)
     fold_ids = stratified_folds(system.decisions, folds, seed)
     contexts = []
@@ -295,25 +356,22 @@ def run_decider(
         if not train_ids:
             raise FoldError(f"fold {f} leaves no training objects")
         train = system.subset(train_ids)
-        contexts.append((train, make_inclusion(inclusion, train), fold_ids[f]))
+        test = system.subset(fold_ids[f])
+        contexts.append(
+            (train, make_inclusion(inclusion, train), frozenset(train.objects), test)
+        )
 
     per_radius = []
     for r in grid:
         correct = total = 0
         counts = []
         reductions = []
-        for train, incl, test_ids in contexts:
-            covering = irreducible_covering(
-                all_granules(r, incl), frozenset(train.objects)
-            )
+        for train, incl, universe, test in contexts:
+            covering = irreducible_covering(all_granules(r, incl), universe)
             mirror = granular_mirror(covering, train)
-            predicted = classify_many(
-                mirror, [system.system.rows[i] for i in test_ids]
-            )
-            correct += sum(
-                p == system.decisions[i] for p, i in zip(predicted, test_ids)
-            )
-            total += len(test_ids)
+            predicted = classify_many(mirror, test.system.rows)
+            correct += sum(p == t for p, t in zip(predicted, test.decisions))
+            total += len(test.decisions)
             counts.append(len(covering.granules))
             reductions.append(len(covering.granules) / len(train.system.rows))
         per_radius.append(

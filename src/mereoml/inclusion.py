@@ -22,7 +22,13 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .dataset import DecisionSystem, InformationSystem, dis, ind_fraction
+from .dataset import (
+    DecisionSystem,
+    InformationSystem,
+    dis,
+    dis_count_matrix,
+    ind_fraction,
+)
 from .errors import DegreeUnderflow, MereomlError
 from .mereo import Entity, EntityLike, WeightFn, entity_product
 
@@ -226,17 +232,6 @@ class ArchimedeanInclusion(RoughInclusion):
         return rs_star_archimedean(a, b)
 
 
-def _encode_columns(table: InformationSystem) -> np.ndarray:
-    """Rows as an objects x features array of small integer value codes."""
-    n, m = len(table.rows), len(table.features)
-    codes = np.empty((n, m), dtype=np.int32)
-    for j in range(m):
-        col = [row[j] for row in table.rows]
-        _, inverse = np.unique(col, return_inverse=True)
-        codes[:, j] = inverse
-    return codes
-
-
 @dataclass(frozen=True)
 class LukasiewiczInclusion(RoughInclusion):
     """Object containment on a discrete table: agreeing-feature fraction.
@@ -256,20 +251,24 @@ class LukasiewiczInclusion(RoughInclusion):
 
     @cached_property
     def dis_counts(self) -> np.ndarray:
-        codes = _encode_columns(self._table)
-        # pairwise count of differing features, one boolean layer per feature
-        return (codes[:, None, :] != codes[None, :, :]).sum(axis=2, dtype=np.int16)
+        codes = self._table.encoded.codes
+        return dis_count_matrix(codes, codes)
 
     def degree(self, x: int, y: int) -> Fraction:
         m = len(self._table.features)
         return Fraction(m - int(self.dis_counts[x, y]), m)
 
+    def _limit(self, r) -> int:
+        """Largest differing-feature count with degree >= r: m*(1-r), floored exactly."""
+        return math.floor(len(self._table.features) * (1 - Fraction(r)))
+
     def membership_mask(self, center: int, r) -> np.ndarray:
         """Boolean row over all objects: degree(y, center) >= r."""
-        m = len(self._table.features)
-        # degree >= r  iff  dis <= m*(1-r); exact via rational floor
-        limit = math.floor(m * (1 - Fraction(r)))
-        return self.dis_counts[center] <= limit
+        return self.dis_counts[center] <= self._limit(r)
+
+    def membership_matrix(self, r) -> np.ndarray:
+        """Boolean matrix whose row c is ``membership_mask(c, r)``."""
+        return self.dis_counts <= self._limit(r)
 
 
 @dataclass(frozen=True)
@@ -291,7 +290,7 @@ class ExponentialInclusion(RoughInclusion):
 
     @cached_property
     def dis_weight_sums(self) -> np.ndarray:
-        codes = _encode_columns(self._table)
+        codes = self._table.encoded.codes
         fw = self._weights()
         per_feature = np.array([fw(f) for f in self._table.features])
         differs = codes[:, None, :] != codes[None, :, :]
@@ -301,8 +300,17 @@ class ExponentialInclusion(RoughInclusion):
         s = float(self.dis_weight_sums[x, y])
         return math.exp(-(s * s))
 
-    def membership_mask(self, center: int, r: float) -> np.ndarray:
+    @staticmethod
+    def _limit(r: float) -> float:
+        """Largest weight sum S with exp(-S^2) >= r: sqrt(-ln r), with slack."""
         if r <= 0:
-            return np.ones(len(self.dis_weight_sums), dtype=bool)
-        # exp(-S^2) >= r  iff  S <= sqrt(-ln r); small slack absorbs fp noise
-        return self.dis_weight_sums[center] <= math.sqrt(-math.log(r)) + 1e-12
+            return math.inf
+        # small slack absorbs fp noise
+        return math.sqrt(-math.log(r)) + 1e-12
+
+    def membership_mask(self, center: int, r: float) -> np.ndarray:
+        return self.dis_weight_sums[center] <= self._limit(r)
+
+    def membership_matrix(self, r: float) -> np.ndarray:
+        """Boolean matrix whose row c is ``membership_mask(c, r)``."""
+        return self.dis_weight_sums <= self._limit(r)

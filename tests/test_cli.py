@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import mereoml
 from mereoml.cli import main
 
 SCHEMAS = json.loads(
@@ -214,6 +220,15 @@ def test_classify_bad_radius(capsys, table_csv):
     )
     assert code == 2
     assert "bad radius" in err
+
+
+def test_classify_decision_only_table_is_data_error(capsys, tmp_path):
+    path = tmp_path / "decision_only.csv"
+    path.write_text("d\ny\nn\ny\nn\n", encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(path), "--decision", "d", "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mereoml: ") and "Traceback" not in err
 
 
 def test_classify_unknown_inclusion_is_usage_error(capsys, table_csv):
@@ -489,3 +504,33 @@ def test_sim_runs_are_deterministic(capsys, tmp_path):
         assert code == 0
         outputs.append((out.read_bytes(), svg.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    rng = random.Random(11)
+    lines = ["c0,c1,c2,c3,d"]
+    for _ in range(40):
+        row = [rng.choice(("lo", "mid", "hi", "x\0")) for _ in range(4)]
+        lines.append(",".join(row + [rng.choice(("yes", "no", "maybe"))]))
+    table = tmp_path / "t.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    invocations = [
+        ["classify", str(table), "--decision", "d", "--seed", "4", "--folds", "3"],
+        ["classify", str(table), "--decision", "d", "--seed", "4", "--inclusion", "exp",
+         "--radii", "0.3,0.7"],
+        ["granulate", str(table), "--decision", "d", "--radius", "1/2"],
+        ["logic", str(table), "--decision", "d", "--granules-from", "1/2,lukasiewicz",
+         "--eval", "c0=lo | c1=hi -> d=yes"],
+    ]
+    src = str(Path(mereoml.__file__).resolve().parents[1])
+    for argv in invocations:
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "mereoml.cli", *argv],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv

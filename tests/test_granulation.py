@@ -1,15 +1,21 @@
 """Granules, irreducible coverings, mirror tables, the CV decider."""
 
+import random
+from collections import Counter
 from fractions import Fraction
+from statistics import fmean
 
 import hypothesis
 import hypothesis.strategies as strat
+import numpy as np
 import pytest
 
 from mereoml import (
     Covering,
     DecisionSystem,
+    DeciderReport,
     FoldError,
+    GranularReflection,
     Granule,
     InformationSystem,
     LukasiewiczInclusion,
@@ -29,7 +35,8 @@ from mereoml import (
     run_decider,
     stratified_folds,
 )
-from strategies import decision_tables, tables
+from mereoml.granulation import RadiusResult
+from strategies import decision_tables, granules_for, tables
 
 
 def test_radius_grid():
@@ -354,3 +361,170 @@ def test_run_decider_deterministic():
     a = run_decider(system, folds=3, seed=42)
     b = run_decider(system, folds=3, seed=42)
     assert a == b
+
+
+# --- the set- and Counter-based decider, kept as the reference --------------
+
+
+def ref_all_granules(r, inclusion):
+    """One granule per object, each from its own membership mask."""
+    out = []
+    for x in inclusion.system.objects:
+        mask = inclusion.membership_mask(x, r)
+        out.append(Granule(x, r, frozenset(int(i) for i in np.nonzero(mask)[0])))
+    return tuple(out)
+
+
+def ref_irreducible_covering(granules, universe):
+    order = sorted(granules, key=lambda g: (-len(g.members), g.center))
+    chosen = []
+    uncovered = set(universe)
+    for g in order:
+        if not uncovered:
+            break
+        if g.members & uncovered:
+            chosen.append(g)
+            uncovered -= g.members
+    if uncovered:
+        raise MereomlError(f"granules cannot cover objects {sorted(uncovered)}")
+    for g in reversed(chosen.copy()):
+        rest = [h for h in chosen if h is not g]
+        if rest and frozenset().union(*(h.members for h in rest)) == universe:
+            chosen.remove(g)
+    chosen.sort(key=lambda g: g.center)
+    return Covering(tuple(chosen), universe)
+
+
+def ref_granular_mirror(covering, system):
+    table = system.system
+    rows = []
+    decisions = []
+    for g in covering.granules:
+        members = sorted(g.members)
+        rows.append(
+            tuple(
+                majority_value([table.rows[x][j] for x in members])
+                for j in range(len(table.features))
+            )
+        )
+        decisions.append(majority_value([system.decisions[x] for x in members]))
+    return GranularReflection(covering, table.features, tuple(rows), tuple(decisions))
+
+
+def ref_vote_nearest(tied, decisions):
+    if len(tied) == 1:
+        return decisions[tied[0]]
+    counts = Counter(decisions[i] for i in tied)
+    top = max(counts.values())
+    leaders = {v for v, c in counts.items() if c == top}
+    for i in tied:
+        if decisions[i] in leaders:
+            return decisions[i]
+    raise AssertionError("unreachable: some tied row carries a leading decision")
+
+
+def ref_classify_many(reflection, test_rows):
+    out = []
+    for row in test_rows:
+        agreements = [sum(a == b for a, b in zip(row, mrow)) for mrow in reflection.rows]
+        best = max(agreements)
+        tied = [i for i, a in enumerate(agreements) if a == best]
+        out.append(ref_vote_nearest(tied, reflection.decisions))
+    return out
+
+
+def ref_run_decider(system, folds, seed, inclusion):
+    m = len(system.features)
+    fold_ids = stratified_folds(system.decisions, folds, seed)
+    contexts = []
+    for f in range(folds):
+        train_ids = sorted(i for g in range(folds) if g != f for i in fold_ids[g])
+        train = system.subset(train_ids)
+        contexts.append((train, make_inclusion(inclusion, train), fold_ids[f]))
+    per_radius = []
+    for r in radius_grid(m):
+        correct = total = 0
+        counts = []
+        reductions = []
+        for train, incl, test_ids in contexts:
+            covering = ref_irreducible_covering(
+                ref_all_granules(r, incl), frozenset(train.objects)
+            )
+            mirror = ref_granular_mirror(covering, train)
+            predicted = ref_classify_many(
+                mirror, [system.system.rows[i] for i in test_ids]
+            )
+            correct += sum(p == system.decisions[i] for p, i in zip(predicted, test_ids))
+            total += len(test_ids)
+            counts.append(len(covering.granules))
+            reductions.append(len(covering.granules) / len(train.system.rows))
+        per_radius.append(
+            RadiusResult(r, correct / total, 1.0, fmean(counts), fmean(reductions))
+        )
+    best = max(per_radius, key=lambda rr: (rr.accuracy, -rr.radius))
+    return DeciderReport(tuple(per_radius), best.radius)
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except MereomlError as e:
+        return type(e), str(e)
+
+
+@hypothesis.given(decision_tables(max_objects=12))
+def test_decider_stages_match_reference_at_every_radius(system):
+    universe = frozenset(system.objects)
+    # the system's own rows, plus one with tokens the mirror has never seen
+    rows = list(system.system.rows) + [("9",) * len(system.features)]
+    for r in (Fraction(0),) + radius_grid(len(system.features)):
+        inc = LukasiewiczInclusion(system)
+        granules = all_granules(r, inc)
+        assert granules == ref_all_granules(r, inc)
+        covering = irreducible_covering(granules, universe)
+        assert covering == ref_irreducible_covering(granules, universe)
+        mirror = granular_mirror(covering, system)
+        assert mirror == ref_granular_mirror(covering, system)
+        assert classify_many(mirror, rows) == ref_classify_many(mirror, rows)
+
+
+@hypothesis.given(decision_tables(max_objects=8), strat.data())
+def test_irreducible_covering_matches_reference_on_any_family(system, data):
+    objects = list(system.objects)
+    # a few members beyond the universe, so some families reach outside it
+    wider = DecisionSystem(
+        InformationSystem(
+            system.features, system.system.rows + system.system.rows[:2]
+        ),
+        system.decision,
+        system.decisions + system.decisions[:2],
+    )
+    family = data.draw(strat.lists(granules_for(wider), max_size=6))
+    granules = [Granule(c, Fraction(1, 2), m) for c, m in enumerate(family)]
+    universe = frozenset(data.draw(strat.sets(strat.sampled_from(objects))))
+    assert _outcome(irreducible_covering, granules, universe) == _outcome(
+        ref_irreducible_covering, granules, universe
+    )
+
+
+def _credit_shaped(seed, n=138, m=14, tokens=5):
+    """A seeded table whose decision follows its first three columns."""
+    rng = random.Random(seed)
+    features = tuple(f"a{j}" for j in range(m))
+    rows = tuple(
+        tuple(str(rng.randrange(tokens)) for _ in features) for _ in range(n)
+    )
+    decisions = tuple(
+        "+" if sum(int(v) for v in row[:3]) + rng.randrange(3) > 7 else "-"
+        for row in rows
+    )
+    return DecisionSystem(InformationSystem(features, rows), "class", decisions)
+
+
+@pytest.mark.parametrize("inclusion", ["lukasiewicz", "exp"])
+def test_run_decider_matches_reference_on_a_seeded_table(inclusion):
+    system = _credit_shaped(7)
+    report = run_decider(system, folds=5, seed=3, inclusion=inclusion)
+    assert len(report.per_radius) == 14
+    assert report == ref_run_decider(system, 5, 3, inclusion)

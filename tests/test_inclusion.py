@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis
@@ -27,6 +29,7 @@ from mereoml import (
     exp_row_degree,
     fuzzy_similarity,
     ind_fraction,
+    load_csv,
     lukasiewicz_h,
     lukasiewicz_row_degree,
     residuum_lukasiewicz,
@@ -295,6 +298,32 @@ def test_lukasiewicz_inclusion_matches_ind(table):
     n = len(table.rows)
     for x, y in itertools.product(range(n), repeat=2):
         assert inc.degree(x, y) == ind_fraction(x, y, table)
+
+
+def test_tokens_differing_by_trailing_nul_stay_distinct(tmp_path):
+    path = tmp_path / "nul.csv"
+    path.write_text("a,b,d\nx\0,1,y\nx,1,n\n", encoding="utf-8")
+    system = load_csv(path, decision="d")
+    assert system.system.rows[0][0] == "x\0"
+    assert ind_fraction(0, 1, system) == Fraction(1, 2)
+    assert LukasiewiczInclusion(system).degree(0, 1) == Fraction(1, 2)
+    assert ExponentialInclusion(system).degree(0, 1) == pytest.approx(math.exp(-0.25))
+
+
+def test_dis_counts_memory_stays_quadratic():
+    """The pairwise matrix never holds an objects^2 x features intermediate."""
+    rng = random.Random(5)
+    n, m = 600, 14
+    rows = tuple(tuple(str(rng.randrange(5)) for _ in range(m)) for _ in range(n))
+    inc = LukasiewiczInclusion(InformationSystem(tuple(f"f{j}" for j in range(m)), rows))
+    tracemalloc.start()
+    try:
+        counts = inc.dis_counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (n, n)
+    assert peak < 4 * n * n
 
 
 @hypothesis.given(tables(max_objects=10), strat.data())
