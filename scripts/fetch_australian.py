@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Download the Statlog Australian Credit data and write data/australian.csv.
 
-The benchmark in tests/test_acceptance.py and scripts/run_credit_benchmark.py
-needs this file; both skip politely when it is absent.  Run from the
-repository root on a machine with network access:
+Acceptance criterion 5 in tests/test_acceptance.py needs this file and
+skips when it is absent.  Run from the repository root on a machine with
+network access:
 
     python3 scripts/fetch_australian.py
 

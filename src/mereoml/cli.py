@@ -9,6 +9,7 @@ error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -29,6 +30,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_radius(text: str) -> Fraction:
@@ -225,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(granulation.INCLUSION_KINDS),
         default="lukasiewicz",
     )
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_int_at_least(2), default=5)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--radii", help="comma list of radii (fractions or decimals)")
     p.set_defaults(func=_cmd_classify)
@@ -266,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="run the formation simulator")
     p.add_argument("world")
     p.add_argument("formation")
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_int_at_least(0), default=1000)
     p.add_argument("--out", default="traj.csv")
     p.add_argument("--svg", default="traj.svg")
     p.set_defaults(func=_cmd_sim)
@@ -274,8 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

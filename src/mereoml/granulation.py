@@ -144,20 +144,21 @@ def granule(center: int, r: Degree, inclusion: RoughInclusion) -> Granule:
     return Granule(center, r, members)
 
 
-def all_granules(r: Degree, inclusion: RoughInclusion, system=None) -> tuple[Granule, ...]:
+def all_granules(r: Degree, inclusion: RoughInclusion) -> tuple[Granule, ...]:
     """One granule per object, in object order.
 
     With an inclusion offering ``membership_matrix``, every granule is a row
     of one boolean matrix, split into member sets from a single ``nonzero``.
+    The members are drawn from one shared array of object ids, so the
+    granules share their int objects and dropping them frees none.
     """
-    universe = (system or inclusion.system).objects
+    universe = inclusion.system.objects
     if not hasattr(inclusion, "membership_matrix"):
         return tuple(granule(x, r, inclusion) for x in universe)
     _check_granule_args(r, inclusion)
     matrix = inclusion.membership_matrix(r)
-    if system is not None:
-        matrix = matrix[np.asarray(universe, dtype=np.intp)]
-    members = np.nonzero(matrix)[1].tolist()
+    ids = np.array(universe, dtype=object)
+    members = ids[np.nonzero(matrix)[1]].tolist()
     ends = np.cumsum(matrix.sum(axis=1)).tolist()
     return tuple(
         Granule(x, r, frozenset(members[start:end]))

@@ -25,6 +25,7 @@ import numpy as np
 from .dataset import (
     DecisionSystem,
     InformationSystem,
+    _conditional,
     dis,
     dis_count_matrix,
     ind_fraction,
@@ -246,8 +247,7 @@ class LukasiewiczInclusion(RoughInclusion):
 
     @property
     def _table(self) -> InformationSystem:
-        s = self.system
-        return s.system if isinstance(s, DecisionSystem) else s
+        return _conditional(self.system)
 
     @cached_property
     def dis_counts(self) -> np.ndarray:
@@ -282,19 +282,25 @@ class ExponentialInclusion(RoughInclusion):
 
     @property
     def _table(self) -> InformationSystem:
-        s = self.system
-        return s.system if isinstance(s, DecisionSystem) else s
+        return _conditional(self.system)
 
     def _weights(self) -> FeatureWeights:
         return self.weights or FeatureWeights.uniform(self._table.features)
 
     @cached_property
     def dis_weight_sums(self) -> np.ndarray:
-        codes = self._table.encoded.codes
+        """Pairwise weight sum of the differing features, as float64.
+
+        Accumulates one column at a time in feature order, so memory stays
+        O(n^2) and each sum adds the same floats in the same order as
+        :func:`exp_row_degree`.
+        """
+        table = self._table
         fw = self._weights()
-        per_feature = np.array([fw(f) for f in self._table.features])
-        differs = codes[:, None, :] != codes[None, :, :]
-        return (differs * per_feature).sum(axis=2)
+        out = np.zeros((len(table.rows),) * 2)
+        for col, f in zip(np.ascontiguousarray(table.encoded.codes.T), table.features):
+            out += (col[:, None] != col[None, :]) * fw(f)
+        return out
 
     def degree(self, x: int, y: int) -> float:
         s = float(self.dis_weight_sums[x, y])

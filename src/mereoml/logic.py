@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+import numpy as np
+
 from .dataset import DecisionSystem, InformationSystem
 from .errors import MereomlError
 
@@ -174,19 +176,26 @@ def _parse_not(tokens: _Tokens) -> Formula:
 
 def _check_atoms(formula: Formula, system, allow_unseen: bool) -> None:
     for atom in iter_atoms(formula):
-        observed = _observed_values(atom.feature, system)
-        if not allow_unseen and atom.value not in observed:
+        _, index = _column(atom.feature, system)
+        if not allow_unseen and atom.value not in index:
             raise UnknownValue(
                 f"value {atom.value!r} never observed for feature {atom.feature!r}"
             )
 
 
-def _observed_values(feature: str, system) -> frozenset[str]:
+def _column(feature: str, system) -> tuple[np.ndarray, dict[str, int]]:
+    """A feature's column of codes and its token -> code index.
+
+    The decision feature of a decision system counts; any other name must be
+    a conditional feature, else :class:`UnknownFeature`.
+    """
     if isinstance(system, DecisionSystem):
         if feature == system.decision:
-            return system.decision_values
-        return system.system.value_set(feature)
-    return system.value_set(feature)
+            encoded = system.decisions_encoded
+            return encoded.codes[:, 0], encoded.index[0]
+        system = system.system
+    j = system.feature_index(feature)
+    return system.encoded.codes[:, j], system.encoded.index[j]
 
 
 def iter_atoms(formula: Formula) -> Iterable[Atom]:
@@ -236,14 +245,28 @@ def satisfies(obj: int, formula: Formula, system) -> bool:
 
 
 def meaning(formula: Formula, system) -> frozenset[int]:
-    """The set of objects classically satisfying the formula."""
-    for atom in iter_atoms(formula):
-        if isinstance(system, DecisionSystem):
-            if atom.feature != system.decision:
-                system.system.feature_index(atom.feature)
-        else:
-            system.feature_index(atom.feature)
-    return frozenset(x for x in system.objects if satisfies(x, formula, system))
+    """The set of objects classically satisfying the formula.
+
+    Evaluated as one boolean mask over the table's encoded columns; it agrees
+    with :func:`satisfies` object by object.
+    """
+    return frozenset(np.flatnonzero(_mask(formula, system)).tolist())
+
+
+def _mask(formula: Formula, system) -> np.ndarray:
+    """Per object, whether it satisfies the formula; an unseen value matches none."""
+    if isinstance(formula, Atom):
+        codes, index = _column(formula.feature, system)
+        return codes == index.get(formula.value, -1)
+    if isinstance(formula, Not):
+        return ~_mask(formula.sub, system)
+    left = _mask(formula.left, system)
+    right = _mask(formula.right, system)
+    if isinstance(formula, And):
+        return left & right
+    if isinstance(formula, Or):
+        return left | right
+    return ~left | right
 
 
 class NuMode(enum.Enum):

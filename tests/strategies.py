@@ -49,9 +49,10 @@ def literals_for(system):
     return strat.one_of(atoms_for(system), atoms_for(system).map(Not))
 
 
-def formulas_for(system, max_leaves=6):
+def formulas_for(system, max_leaves=6, atoms=None):
+    """Formula trees whose leaves come from ``atoms`` (default ``atoms_for``)."""
     return strat.recursive(
-        atoms_for(system),
+        atoms_for(system) if atoms is None else atoms,
         lambda sub: strat.one_of(
             sub.map(Not),
             strat.tuples(sub, sub).map(lambda p: And(*p)),

@@ -453,6 +453,35 @@ def test_unknown_command(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "{table}", "--decision", "d", "--seed", "0", "--folds", "0"),
+        ("classify", "{table}", "--decision", "d", "--seed", "0", "--folds", "1"),
+        ("sim", "data/corridor_world.txt", "data/cross.frm", "--steps", "-1",
+         "--out", "{tmp}/t.csv", "--svg", "{tmp}/t.svg"),
+    ],
+)
+def test_counts_out_of_range_are_usage_errors(capsys, table_csv, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(table=table_csv, tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: mereoml ") and "Traceback" not in err
+    assert not list(tmp_path.glob("t.*"))
+    # the parser is built once per process: a rejected call must not change
+    # what the next call in the same process prints
+    valid = ["classify", table_csv, "--decision", "d", "--seed", "3", "--folds", "2"]
+    code, out, _ = run(capsys, *valid)
+    src = str(Path(mereoml.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "mereoml.cli", *valid],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout
+
+
 def test_output_bytes_are_deterministic(capsys, table_csv, net_file, tmp_path):
     invocations = [
         ("load", table_csv, "--decision", "d"),

@@ -326,6 +326,40 @@ def test_dis_counts_memory_stays_quadratic():
     assert peak < 4 * n * n
 
 
+def _seeded_table(n, m, seed=5):
+    rng = random.Random(seed)
+    rows = tuple(tuple(str(rng.randrange(5)) for _ in range(m)) for _ in range(n))
+    return InformationSystem(tuple(f"f{j}" for j in range(m)), rows)
+
+
+def test_exponential_degree_is_bit_equal_to_the_row_form():
+    """The matrix adds the weights in feature order, as ``exp_row_degree`` does."""
+    table = _seeded_table(120, 14)
+    inc = ExponentialInclusion(table)
+    fw = FeatureWeights.uniform(table.features)
+    differ = [
+        (x, y)
+        for x in table.objects
+        for y in table.objects
+        if inc.degree(x, y) != exp_row_degree(table.rows[x], table.rows[y], fw)
+    ]
+    assert differ == []
+
+
+def test_dis_weight_sums_memory_stays_quadratic():
+    """The float sums never hold an objects^2 x features intermediate."""
+    n = 600
+    inc = ExponentialInclusion(_seeded_table(n, 14))
+    tracemalloc.start()
+    try:
+        sums = inc.dis_weight_sums
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (n, n)
+    assert peak < 20 * n * n
+
+
 @hypothesis.given(tables(max_objects=10), strat.data())
 def test_membership_masks_match_brute_force(table, data):
     m = len(table.features)

@@ -34,7 +34,7 @@ from mereoml import (
     rule_audit,
     satisfies,
 )
-from strategies import formulas_for, granules_for, tables
+from strategies import atoms_for, decision_tables, formulas_for, granules_for, tables
 
 TABLE = InformationSystem(
     ("p", "q", "s"),
@@ -161,6 +161,21 @@ def test_meaning_agrees_with_satisfies(table, data):
     m = meaning(f, table)
     for x in table.objects:
         assert (x in m) == satisfies(x, f, table)
+
+
+@hypothesis.given(decision_tables(max_objects=8), strat.data())
+def test_meaning_agrees_with_satisfies_on_decision_atoms_and_unseen_values(system, data):
+    unseen = [Atom(f, "unseen") for f in system.features + (system.decision,)]
+    leaves = strat.one_of(atoms_for(system), strat.sampled_from(unseen))
+    text = print_formula(data.draw(formulas_for(system, atoms=leaves)))
+    f = parse_formula(text, system, allow_unseen=True)
+    assert meaning(f, system) == frozenset(
+        x for x in system.objects if satisfies(x, f, system)
+    )
+    with pytest.raises(UnknownFeature):
+        meaning(And(f, Atom("nope", "1")), system)
+    with pytest.raises(UnknownFeature):
+        parse_formula(f"{text} & nope=1", system, allow_unseen=True)
 
 
 @hypothesis.given(tables(max_objects=6), strat.data())
