@@ -307,10 +307,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except MereomlError as e:
-        print(f"mereoml: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (MereomlError, OSError, UnicodeDecodeError) as e:
         print(f"mereoml: {e}", file=sys.stderr)
         return 2
 

@@ -302,18 +302,15 @@ def discretize(
         return DecisionSystem(
             discretize(system.system, columns, bins), system.decision, system.decisions
         )
-    columns = list(columns)
-    for name in columns:
-        system.feature_index(name)
-    new_cols = {name: _bin_labels(system.column(name), bins, name) for name in columns}
-    rows = tuple(
-        tuple(
-            new_cols[f][i] if f in new_cols else row[j]
-            for j, f in enumerate(system.features)
-        )
-        for i, row in enumerate(system.rows)
-    )
-    return InformationSystem(system.features, rows)
+    # every name is checked before any column is binned
+    named = {system.feature_index(name): name for name in columns}
+    if not named or not system.rows:
+        # nothing to bin; transposing no rows would also lose the columns
+        return system
+    cols = list(zip(*system.rows))
+    for j, name in named.items():
+        cols[j] = _bin_labels(cols[j], bins, name)
+    return InformationSystem(system.features, tuple(zip(*cols)))
 
 
 def _conditional(system: InformationSystem | DecisionSystem) -> InformationSystem:

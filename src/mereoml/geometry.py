@@ -18,7 +18,6 @@ progress.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -449,46 +448,37 @@ class PotentialField:
         ):
             raise MereomlError("world bounds are not a whole number of cells")
         self.inflate = inflate
-        self.blocked = np.zeros((self.ny, self.nx), dtype=bool)
-        for j in range(self.ny):
-            for i in range(self.nx):
-                cx, cy = self.center(i, j)
-                near_edge = (
-                    cx - inflate < b.x1 - _EPS
-                    or cx + inflate > b.x2 + _EPS
-                    or cy - inflate < b.y1 - _EPS
-                    or cy + inflate > b.y2 + _EPS
-                )
-                inside_obstacle = any(
-                    o.x1 - inflate + _EPS < cx < o.x2 + inflate - _EPS
-                    and o.y1 - inflate + _EPS < cy < o.y2 + inflate - _EPS
-                    for o in world.obstacles
-                )
-                self.blocked[j, i] = near_edge or inside_obstacle
+        # cell centres per axis, bit-equal to center(i, j); a rectangle test
+        # on the centres is the outer product of one test per axis
+        xs = self.x1 + (np.arange(self.nx) + 0.5) * self.cell
+        ys = self.y1 + (np.arange(self.ny) + 0.5) * self.cell
+        # blocked: within inflate of the rim ...
+        self.blocked = ~np.outer(
+            ~((ys - inflate < b.y1 - _EPS) | (ys + inflate > b.y2 + _EPS)),
+            ~((xs - inflate < b.x1 - _EPS) | (xs + inflate > b.x2 + _EPS)),
+        )
+        # ... or strictly inside an obstacle fattened by inflate
+        for o in world.obstacles:
+            self.blocked |= np.outer(
+                (o.y1 - inflate + _EPS < ys) & (ys < o.y2 + inflate - _EPS),
+                (o.x1 - inflate + _EPS < xs) & (xs < o.x2 + inflate - _EPS),
+            )
+        g = world.goal
+        frontier = ~self.blocked & np.outer(
+            (g.y1 <= ys) & (ys <= g.y2), (g.x1 <= xs) & (xs <= g.x2)
+        )
+        # breadth-first fill one distance layer at a time, 4-neighbour steps
         self.values = np.full((self.ny, self.nx), math.inf)
-        queue: deque[tuple[int, int]] = deque()
-        for j in range(self.ny):
-            for i in range(self.nx):
-                cx, cy = self.center(i, j)
-                if (
-                    not self.blocked[j, i]
-                    and world.goal.x1 <= cx <= world.goal.x2
-                    and world.goal.y1 <= cy <= world.goal.y2
-                ):
-                    self.values[j, i] = 0.0
-                    queue.append((i, j))
-        while queue:
-            i, j = queue.popleft()
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ni, nj = i + di, j + dj
-                if (
-                    0 <= ni < self.nx
-                    and 0 <= nj < self.ny
-                    and not self.blocked[nj, ni]
-                    and math.isinf(self.values[nj, ni])
-                ):
-                    self.values[nj, ni] = self.values[j, i] + 1
-                    queue.append((ni, nj))
+        d = 0
+        while frontier.any():
+            self.values[frontier] = d
+            grown = np.zeros_like(frontier)
+            grown[1:] |= frontier[:-1]
+            grown[:-1] |= frontier[1:]
+            grown[:, 1:] |= frontier[:, :-1]
+            grown[:, :-1] |= frontier[:, 1:]
+            frontier = grown & ~self.blocked & np.isinf(self.values)
+            d += 1
 
     def center(self, i: int, j: int) -> tuple[float, float]:
         return (
@@ -578,11 +568,10 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
         hx, hy = half[rid]
         return Rect(cx - hx, cy - hy, cx + hx, cy + hy)
 
-    def all_rects(cs: Mapping[int, tuple[int, int]]) -> dict[int, Rect]:
-        return {rid: rect_at(rid, cs[rid]) for rid in ids}
+    # each robot's rectangle, replaced only when that robot moves
+    rects = {rid: rect_at(rid, cells[rid]) for rid in ids}
 
     def record(step: int) -> StepRecord:
-        rects = all_rects(cells)
         violations = len(check_formation(formation, rects))
         return StepRecord(
             step,
@@ -592,21 +581,23 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
             ),
         )
 
+    def arrived() -> bool:
+        return (
+            overlap_area(rects[leader], world.goal) > 0
+            and steps[-1].entries[0].violations == 0
+        )
+
+    def finish(status: str) -> NavigationLog:
+        return NavigationLog(status, tuple(steps), field)
+
     steps = [record(0)]
     if math.isinf(field.value(*cells[leader])):
-        return NavigationLog("unreachable", tuple(steps), field)
+        return finish("unreachable")
+    if arrived():
+        return finish("goal_reached")
 
     stall = 0
-    status = "step_budget"
     for step in range(1, max_steps + 1):
-        current = steps[-1]
-        leader_rect = rect_at(leader, cells[leader])
-        if (
-            overlap_area(leader_rect, world.goal) > 0
-            and current.entries[0].violations == 0
-        ):
-            status = "goal_reached"
-            break
         moved = False
         # leader: strict greedy descent
         li, lj = cells[leader]
@@ -620,42 +611,31 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
             if v < best - _EPS:
                 best, best_cell = v, (ci, cj)
         if best_cell is not None:
-            cells[leader] = best_cell
+            cells[leader], rects[leader] = best_cell, rect_at(leader, best_cell)
             moved = True
         # followers: repair first, then advance
         for rid in ids[1:]:
             ri, rj = cells[rid]
             choices = []
             for order, (di, dj) in enumerate(_FOLLOWER_MOVES):
-                ci, cj = ri + di, rj + dj
-                if field.is_blocked(ci, cj):
+                cell = (ri + di, rj + dj)
+                if field.is_blocked(*cell):
                     continue
-                trial = dict(cells)
-                trial[rid] = (ci, cj)
-                bad = len(check_formation(formation, all_rects(trial)))
-                choices.append((bad, field.value(ci, cj), order, (ci, cj)))
+                rect = rect_at(rid, cell)
+                bad = len(check_formation(formation, {**rects, rid: rect}))
+                choices.append((bad, field.value(*cell), order, cell, rect))
             choices.sort()
-            chosen = choices[0][3]
+            chosen, rect = choices[0][3:]
             if chosen != (ri, rj):
                 moved = True
-            cells[rid] = chosen
+                cells[rid], rects[rid] = chosen, rect
         steps.append(record(step))
-        if moved:
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                status = "deadlock"
-                break
-    else:
-        current = steps[-1]
-        leader_rect = rect_at(leader, cells[leader])
-        if (
-            overlap_area(leader_rect, world.goal) > 0
-            and current.entries[0].violations == 0
-        ):
-            status = "goal_reached"
-    return NavigationLog(status, tuple(steps), field)
+        stall = 0 if moved else stall + 1
+        if stall >= _STALL_LIMIT:
+            return finish("deadlock")
+        if arrived():
+            return finish("goal_reached")
+    return finish("step_budget")
 
 
 def write_trajectory_csv(log: NavigationLog, path: str | Path) -> None:

@@ -258,6 +258,9 @@ def granular_mirror(
     """
     if strategy != "MV":
         raise MereomlError(f"unknown voting strategy {strategy!r}")
+    if not covering.granules:
+        # a table without objects: nothing to vote, and no token to argmax over
+        return GranularReflection(covering, system.features, (), (), strategy)
     sizes = [len(g.members) for g in covering.granules]
     membership = np.zeros((len(sizes), len(system.decisions)), dtype=np.float32)
     membership[

@@ -153,6 +153,13 @@ def test_load_bad_discretize_spec(capsys, table_csv):
     assert code == 2
 
 
+def test_load_discretize_keeps_a_header_only_table(capsys, tmp_path):
+    path = tmp_path / "hdr.csv"
+    path.write_text("a,b,d\n", encoding="utf-8")
+    payload = run_json(capsys, "load", str(path), "--discretize", "a:2")
+    assert payload == {"objects": 0, "features": 3}
+
+
 def test_load_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "load", str(tmp_path / "absent.csv"))
     assert code == 2
@@ -288,6 +295,17 @@ def test_granulate_to_file(capsys, table_csv, tmp_path):
     assert code == 0
     assert out == ""
     check_csv(target.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("inclusion", ["lukasiewicz", "exp"])
+def test_granulate_header_only_table_prints_the_header(capsys, tmp_path, inclusion):
+    path = tmp_path / "hdr.csv"
+    path.write_text("a,b,d\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "granulate", str(path), "--decision", "d", "--radius", "1/2",
+        "--inclusion", inclusion,
+    )
+    assert (code, out, err) == (0, "a,b,d\n", "")
 
 
 # --- logic -----------------------------------------------------------------
@@ -456,6 +474,28 @@ def test_unknown_command(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("load", "{bad}"),
+        ("net", "{bad}", "--input", "0"),
+        ("sim", "{bad}", "data/cross.frm", "--out", "{tmp}/t.csv", "--svg", "{tmp}/t.svg"),
+        ("sim", "data/corridor_world.txt", "{bad}", "--out", "{tmp}/t.csv",
+         "--svg", "{tmp}/t.svg"),
+    ],
+    ids=["load", "net", "sim-world", "sim-formation"],
+)
+def test_input_that_is_not_utf8_is_a_data_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfea,b\n")
+    code, out, err = run(capsys, *(a.format(bad=bad, tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mereoml: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("t.*"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("classify", "{table}", "--decision", "d", "--seed", "0", "--folds", "0"),
         ("classify", "{table}", "--decision", "d", "--seed", "0", "--folds", "1"),
         ("sim", "data/corridor_world.txt", "data/cross.frm", "--steps", "-1",
@@ -535,7 +575,7 @@ def test_sim_runs_are_deterministic(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, net_file):
     rng = random.Random(11)
     lines = ["c0,c1,c2,c3,d"]
     for _ in range(40):
@@ -543,6 +583,7 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         lines.append(",".join(row + [rng.choice(("yes", "no", "maybe"))]))
     table = tmp_path / "t.csv"
     table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    traj, svg = tmp_path / "traj.csv", tmp_path / "traj.svg"
     invocations = [
         ["classify", str(table), "--decision", "d", "--seed", "4", "--folds", "3"],
         ["classify", str(table), "--decision", "d", "--seed", "4", "--inclusion", "exp",
@@ -550,16 +591,25 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         ["granulate", str(table), "--decision", "d", "--radius", "1/2"],
         ["logic", str(table), "--decision", "d", "--granules-from", "1/2,lukasiewicz",
          "--eval", "c0=lo | c1=hi -> d=yes"],
+        ["load", str(table), "--decision", "d"],
+        ["net", net_file, "--input", "0,1", "--input", "1"],
+        ["sim", "data/corridor_world.txt", "data/cross.frm", "--out", str(traj),
+         "--svg", str(svg)],
     ]
     src = str(Path(mereoml.__file__).resolve().parents[1])
     for argv in invocations:
         outputs = []
         for hash_seed in ("0", "1"):
+            traj.unlink(missing_ok=True)
+            svg.unlink(missing_ok=True)
             env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
             proc = subprocess.run(
                 [sys.executable, "-m", "mereoml.cli", *argv],
                 capture_output=True, env=env, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+            # sim also writes its trajectory files
+            written = [p.read_bytes() for p in (traj, svg) if p.exists()]
+            assert len(written) == (2 if argv[0] == "sim" else 0)
+            outputs.append((proc.stdout, written))
         assert outputs[0] == outputs[1], argv

@@ -22,6 +22,7 @@ from mereoml import (
     load_csv,
     row_dis_count,
 )
+from mereoml.dataset import _bin_labels
 from strategies import tables
 
 
@@ -175,6 +176,43 @@ def test_discretize_errors():
         discretize(table, ["v"], 0)
     with pytest.raises(UnknownFeature):
         discretize(table, ["nope"], 2)
+
+
+def ref_discretize(system, columns, bins):
+    """The cell-by-cell row rebuild that ``discretize`` replaces."""
+    for name in columns:
+        system.feature_index(name)
+    new_cols = {name: _bin_labels(system.column(name), bins, name) for name in columns}
+    rows = tuple(
+        tuple(
+            new_cols[f][i] if f in new_cols else row[j]
+            for j, f in enumerate(system.features)
+        )
+        for i, row in enumerate(system.rows)
+    )
+    return InformationSystem(system.features, rows)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (IngestionError, UnknownFeature) as e:
+        return type(e), str(e)
+
+
+@hypothesis.given(
+    tables(min_objects=0, max_features=5, tokens=("0", "1", "1.0", "2.5", "-3", "x")),
+    strat.data(),
+)
+def test_discretize_matches_the_row_rebuild(table, data):
+    # named columns in any order, repeats allowed, sometimes an unknown name
+    columns = data.draw(strat.lists(strat.sampled_from(table.features), min_size=1, max_size=4))
+    if data.draw(strat.integers(0, 3)) == 0:
+        columns.insert(data.draw(strat.integers(0, len(columns))), "nope")
+    bins = data.draw(strat.integers(1, 4))
+    assert outcome(discretize, table, columns, bins) == outcome(
+        ref_discretize, table, columns, bins
+    )
 
 
 def test_dis_example():

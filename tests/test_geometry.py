@@ -1,8 +1,12 @@
 """Rectangle similarity, formations, potential fields, navigation."""
 
 import math
+from collections import deque
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as strat
+import numpy as np
 import pytest
 
 from mereoml import (
@@ -355,6 +359,111 @@ def test_potential_rejects_fractional_grid():
         build_potential(world)
 
 
+def ref_potential(world, inflate):
+    """The per-cell loops and queue fill that ``PotentialField`` replaces."""
+    eps = 1e-9
+    b = world.bounds
+    nx = max(1, round(b.width / world.cell))
+    ny = max(1, round(b.height / world.cell))
+
+    def center(i, j):
+        return (b.x1 + (i + 0.5) * world.cell, b.y1 + (j + 0.5) * world.cell)
+
+    blocked = np.zeros((ny, nx), dtype=bool)
+    for j in range(ny):
+        for i in range(nx):
+            cx, cy = center(i, j)
+            near_edge = (
+                cx - inflate < b.x1 - eps
+                or cx + inflate > b.x2 + eps
+                or cy - inflate < b.y1 - eps
+                or cy + inflate > b.y2 + eps
+            )
+            inside_obstacle = any(
+                o.x1 - inflate + eps < cx < o.x2 + inflate - eps
+                and o.y1 - inflate + eps < cy < o.y2 + inflate - eps
+                for o in world.obstacles
+            )
+            blocked[j, i] = near_edge or inside_obstacle
+    values = np.full((ny, nx), math.inf)
+    queue = deque()
+    for j in range(ny):
+        for i in range(nx):
+            cx, cy = center(i, j)
+            if (
+                not blocked[j, i]
+                and world.goal.x1 <= cx <= world.goal.x2
+                and world.goal.y1 <= cy <= world.goal.y2
+            ):
+                values[j, i] = 0.0
+                queue.append((i, j))
+    while queue:
+        i, j = queue.popleft()
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ni, nj = i + di, j + dj
+            if (
+                0 <= ni < nx
+                and 0 <= nj < ny
+                and not blocked[nj, ni]
+                and math.isinf(values[nj, ni])
+            ):
+                values[nj, ni] = values[j, i] + 1
+                queue.append((ni, nj))
+    return blocked, values
+
+
+@strat.composite
+def half_cell_worlds(draw):
+    """Robot-free worlds whose obstacle and goal edges sit on half cells.
+
+    Half-cell edges put cell centres exactly on inflated edges, where the
+    strict and non-strict comparisons of the field decide.
+    """
+    cell = draw(strat.sampled_from((0.25, 0.5, 1.0)))
+    half = cell / 2
+    nx, ny = draw(strat.integers(1, 12)), draw(strat.integers(1, 12))
+    x0 = draw(strat.integers(-4, 4)) * half
+    y0 = draw(strat.integers(-4, 4)) * half
+
+    def edges(n):
+        return strat.lists(
+            strat.integers(0, 2 * n), min_size=2, max_size=2, unique=True
+        ).map(sorted)
+
+    rects = strat.tuples(edges(nx), edges(ny)).map(
+        lambda e: Rect(
+            x0 + e[0][0] * half, y0 + e[1][0] * half,
+            x0 + e[0][1] * half, y0 + e[1][1] * half,
+        )
+    )
+    goal = draw(rects)
+    obstacles = tuple(
+        o for o in draw(strat.lists(rects, max_size=6)) if overlap_area(o, goal) == 0
+    )
+    bounds = Rect(x0, y0, x0 + nx * cell, y0 + ny * cell)
+    return World(bounds, obstacles, goal, cell, ())
+
+
+def assert_field_matches_reference(world):
+    for share in (0.0, 0.2, 0.5, 0.8, 1.0, 1.5):
+        inflate = share * world.cell
+        field = build_potential(world, inflate)
+        blocked, values = ref_potential(world, inflate)
+        assert field.blocked.dtype == blocked.dtype
+        assert np.array_equal(field.blocked, blocked), inflate
+        assert field.values.dtype == values.dtype
+        assert np.array_equal(field.values, values), inflate
+
+
+@hypothesis.given(half_cell_worlds())
+def test_potential_field_matches_the_per_cell_reference(world):
+    assert_field_matches_reference(world)
+
+
+def test_potential_field_matches_the_reference_on_the_shipped_scene():
+    assert_field_matches_reference(load_world("data/corridor_world.txt"))
+
+
 def test_cell_of_clamps():
     field = build_potential(corridor())
     assert field.cell_of(0.5, 0.5) == (0, 0)
@@ -438,6 +547,17 @@ def test_navigate_step_budget():
     log = navigate(world, Formation("solo", ()), max_steps=3)
     assert log.status == "step_budget"
     assert len(log.steps) == 4
+
+
+def test_navigate_with_no_step_budget_records_the_start_only():
+    log = navigate(corridor(), Formation("solo", ()), max_steps=0)
+    assert log.status == "step_budget"
+    assert len(log.steps) == 1
+    # a leader that starts on the goal has arrived before any step
+    world = World(Rect(0, 0, 5, 1), (), Rect(0, 0, 1, 1), 1.0, ((0, sq(0.5, 0.5, 0.25)),))
+    log = navigate(world, Formation("solo", ()), max_steps=0)
+    assert log.status == "goal_reached"
+    assert len(log.steps) == 1
 
 
 def test_navigate_shipped_scene_reaches_goal():

@@ -489,6 +489,19 @@ def test_decider_stages_match_reference_at_every_radius(system):
         assert classify_many(mirror, rows) == ref_classify_many(mirror, rows)
 
 
+@pytest.mark.parametrize("kind", ["lukasiewicz", "exp"])
+def test_granular_mirror_of_an_empty_covering_is_empty(kind):
+    # a header-only table: no objects, so no granules and an empty covering
+    system = DecisionSystem(InformationSystem(("a", "b"), ()), "d", ())
+    covering = irreducible_covering(
+        all_granules(Fraction(1, 2), make_inclusion(kind, system)), frozenset()
+    )
+    assert covering.granules == ()
+    mirror = granular_mirror(covering, system)
+    assert mirror == ref_granular_mirror(covering, system)
+    assert mirror.rows == () and mirror.decisions == ()
+
+
 @hypothesis.given(decision_tables(max_objects=8), strat.data())
 def test_irreducible_covering_matches_reference_on_any_family(system, data):
     objects = list(system.objects)
