@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import geometry, granulation, logic, net
 from .dataset import load_csv, discretize
-from .errors import MereomlError
+from .errors import MereomlError, read_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,7 +207,7 @@ def _cmd_net(args) -> int:
 def _cmd_sim(args) -> int:
     world = geometry.load_world(args.world)
     formation = geometry.parse_formation(
-        Path(args.formation).read_text(encoding="utf-8"),
+        read_text(args.formation),
         robot_ids=[rid for rid, _ in world.robots],
     )
     log = geometry.navigate(world, formation, max_steps=args.steps)
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (MereomlError, OSError, UnicodeDecodeError) as e:
+    except (MereomlError, OSError) as e:
         print(f"mereoml: {e}", file=sys.stderr)
         return 2
 

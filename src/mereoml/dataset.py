@@ -13,16 +13,20 @@ ties to the lower bin) so that equality tests on tokens are meaningful.
 from __future__ import annotations
 
 import csv
+import io
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, product, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import MereomlError
+from .errors import MereomlError, ParameterError, read_text
 
 #: Distinguished token substituted for a declared missing-value sentinel.
 NA_VALUE = "NA"
@@ -109,22 +113,76 @@ def dis_count_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+class CartesianRows(Sequence):
+    """The Cartesian product of row sequences, as a read-only row sequence.
+
+    Row i joins one row of each factor, in ``itertools.product`` order.  It
+    is decoded from i as a mixed-radix number on every access, so the
+    product is never built.  The product equals and hashes like the tuple of
+    its rows, which is built only for that.
+    """
+
+    __slots__ = ("factors", "_len")
+
+    def __init__(self, factors: Iterable[Sequence[tuple]]):
+        self.factors = tuple(factors)
+        self._len = math.prod(map(len, self.factors))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(self._len)[index]))
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("row index out of range")
+        row = ()
+        for factor in reversed(self.factors):
+            i, k = divmod(i, len(factor))
+            row = factor[k] + row
+        return row
+
+    def __iter__(self):
+        for parts in product(*self.factors):
+            yield tuple(chain.from_iterable(parts))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, CartesianRows)):
+            return NotImplemented
+        if isinstance(other, CartesianRows) and other.factors == self.factors:
+            return True
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"CartesianRows({' x '.join(str(len(f)) for f in self.factors)} rows)"
+
+
 @dataclass(frozen=True)
 class InformationSystem:
     """A total object x feature table of discrete value tokens.
 
     ``rows[i][j]`` is the value of feature ``features[j]`` on object ``i``.
-    Objects are identified by their 0-based row index.
+    Objects are identified by their 0-based row index.  ``rows`` is a tuple,
+    or a :class:`CartesianRows` over the rows of other tables.
     """
 
     features: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    rows: tuple[tuple[str, ...], ...] | CartesianRows
 
     def __post_init__(self):
         if len(set(self.features)) != len(self.features):
             raise DuplicateFeature(f"duplicate feature names in {self.features}")
         width = len(self.features)
-        for i, row in enumerate(self.rows):
+        # a product joins rows of tables that were checked when built, so
+        # every row is as wide as its first: the sum of the factor widths
+        rows = self.rows[:1] if isinstance(self.rows, CartesianRows) else self.rows
+        for i, row in enumerate(rows):
             if len(row) != width:
                 raise RaggedRow(f"row {i} has {len(row)} cells, expected {width}")
 
@@ -226,7 +284,7 @@ def load_csv(
     the distinguished token ``"NA"`` instead of being ordinary values.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -297,7 +355,7 @@ def discretize(
     values always land in the same bin.
     """
     if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+        raise ParameterError(f"bins must be >= 1, got {bins}")
     if isinstance(system, DecisionSystem):
         return DecisionSystem(
             discretize(system.system, columns, bins), system.decision, system.decisions

@@ -1,8 +1,12 @@
-"""Shared exception hierarchy.
+"""Shared exception hierarchy and the one text reader of the input files.
 
 Every error raised by this package derives from :class:`MereomlError`, so
 callers (notably the CLI) can separate data problems from genuine bugs.
 """
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class MereomlError(Exception):
@@ -27,3 +31,21 @@ class FoldError(MereomlError):
 
 class NetworkError(MereomlError):
     """A fusion network violates the layer coordination rules."""
+
+
+class ParameterError(MereomlError, ValueError):
+    """A numeric parameter lies outside its domain."""
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file, line endings untranslated.
+
+    A file that is not UTF-8 raises a :class:`MereomlError` naming it.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MereomlError(
+            f"{path}: not UTF-8 text (byte {data[e.start]:#04x} at offset {e.start})"
+        ) from None

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import MereomlError
+from .errors import MereomlError, read_text
 
 _EPS = 1e-9
 
@@ -392,6 +392,8 @@ class World:
         for rid, r in self.robots:
             if not self.bounds.contains(r):
                 raise MereomlError(f"robot {rid} outside world bounds")
+            if any(overlap_area(r, o) > 0 for o in self.obstacles):
+                raise MereomlError(f"robot {rid} overlaps an obstacle")
 
     @property
     def robot_poses(self) -> dict[int, Rect]:
@@ -408,7 +410,7 @@ def load_world(path: str | Path) -> World:
     bounds = goal = cell = None
     obstacles: list[Rect] = []
     robots: list[tuple[int, Rect]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -624,6 +626,10 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
                 rect = rect_at(rid, cell)
                 bad = len(check_formation(formation, {**rects, rid: rect}))
                 choices.append((bad, field.value(*cell), order, cell, rect))
+            if not choices:
+                raise MereomlError(
+                    f"robot {rid} is boxed in: its cell and all eight neighbours are blocked"
+                )
             choices.sort()
             chosen, rect = choices[0][3:]
             if chosen != (ri, rj):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DecisionSystem, EncodedTable, dis_count_matrix
-from .errors import FoldError, MereomlError
+from .errors import FoldError, MereomlError, ParameterError
 from .inclusion import (
     Degree,
     ExponentialInclusion,
@@ -117,7 +117,7 @@ class DeciderReport:
 def radius_grid(feature_count: int) -> tuple[Fraction, ...]:
     """The grid {1/m, 2/m, ..., 1} of meaningful agreement thresholds."""
     if feature_count < 1:
-        raise ValueError("need at least one feature")
+        raise ParameterError("need at least one feature")
     return tuple(Fraction(k, feature_count) for k in range(1, feature_count + 1))
 
 

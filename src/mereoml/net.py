@@ -18,14 +18,16 @@ reading.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import shlex
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import InformationSystem
-from .errors import NetworkError
+from .dataset import CartesianRows, InformationSystem
+from .errors import NetworkError, read_text
 from .granulation import Granule
 from .inclusion import FeatureWeights, exp_row_degree, t_lukasiewicz
 from .logic import And, Formula
@@ -39,14 +41,15 @@ class Agent:
 
     Input agents have no producers.  Consumers keep, for every row of their
     universe, the tuple of producer object ids it was fused from
-    (``selectors``).
+    (``selectors``); over a full product universe that is the
+    :class:`CartesianRows` of the producers' object ids.
     """
 
     name: str
     system: InformationSystem
     targets: tuple[int, ...]
     producers: tuple["Agent", ...] = ()
-    selectors: tuple[tuple[int, ...], ...] | None = None
+    selectors: tuple[tuple[int, ...], ...] | CartesianRows | None = None
 
     def __post_init__(self):
         if not self.targets:
@@ -74,9 +77,13 @@ def consumer_from(
 ) -> Agent:
     """Build the consumer of the given producers.
 
-    The universe is the full Cartesian product of producer universes unless
-    an explicit selector list (tuples of producer object ids) narrows it.
-    Rows fusing only producer targets become the consumer's targets.
+    Without selectors the universe is the full Cartesian product of the
+    producer universes.  It stays implicit: rows and selectors are
+    :class:`CartesianRows` that decode a row from its index on demand, and
+    the targets, every fusion of producer targets, are computed as
+    mixed-radix indices.  An explicit selector list (tuples of producer
+    object ids) narrows the universe to those rows; rows fusing only
+    producer targets become the consumer's targets.
     """
     if not producers:
         raise NetworkError("a consumer needs at least one producer")
@@ -87,8 +94,17 @@ def consumer_from(
                 raise NetworkError(f"feature {f!r} owned by two producers of {name!r}")
             features.append(f)
     if selectors is None:
-        selectors = list(
-            itertools.product(*(range(len(p.system.rows)) for p in producers))
+        sizes = [len(p.system.rows) for p in producers]
+        strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+        fused_targets = itertools.product(*(sorted(set(p.targets)) for p in producers))
+        return Agent(
+            name,
+            InformationSystem(
+                tuple(features), CartesianRows(p.system.rows for p in producers)
+            ),
+            tuple(sum(map(operator.mul, sel, strides)) for sel in fused_targets),
+            tuple(producers),
+            CartesianRows(tuple((i,) for i in range(n)) for n in sizes),
         )
     rows = []
     for sel in selectors:
@@ -308,7 +324,9 @@ def load_network(path: str | Path) -> Network:
         agent NAME auto [P1 ...]   consumer fused from named producers
                                    (default: all agents of the previous layer)
 
-    Auto consumers take the full Cartesian product universe.
+    Auto consumers take the full Cartesian product universe, held
+    implicitly (see :func:`consumer_from`): loading never builds its rows,
+    which are decoded on demand.
     """
     layers: list[list[Agent]] = []
     pending: dict | None = None
@@ -341,7 +359,7 @@ def load_network(path: str | Path) -> Network:
         by_name[agent.name] = agent
         pending = None
 
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         words = shlex.split(raw, comments=True)
         if not words:
             continue

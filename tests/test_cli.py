@@ -457,6 +457,42 @@ def test_sim_step_budget(capsys, tmp_path):
     assert payload["steps"] == 2
 
 
+SIM_ERROR_WORLDS = {
+    # robot 1 sits inside the obstacle
+    "robot-in-obstacle": (
+        "bounds 0 0 10 10\ncell 1\nobstacle 4 4 10 10\ngoal 0 8 2 10\n"
+        "robot 0 1.4 1.4 1.6 1.6\nrobot 1 6.4 6.4 6.6 6.6\nrobot 2 2.4 1.4 2.6 1.6\n"
+        "robot 3 1.4 2.4 1.6 2.6\nrobot 4 1.4 0.4 1.6 0.6\n",
+        "robot 1 overlaps an obstacle",
+    ),
+    # robot 1 touches no obstacle, but leader 0 inflates the two walls around
+    # it by 1, which blocks columns 4-6 whole
+    "follower-boxed-in": (
+        "bounds 0 0 10 10\ncell 1\nobstacle 4.8 0 5 10\nobstacle 6 0 6.2 10\n"
+        "goal 1 7 3 9\nrobot 0 1 1 3 3\nrobot 1 5.4 5.4 5.6 5.6\nrobot 2 1.4 4.4 1.6 4.6\n"
+        "robot 3 2.4 4.4 2.6 4.6\nrobot 4 3.4 4.4 3.6 4.6\n",
+        "robot 1 is boxed in",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIM_ERROR_WORLDS))
+def test_sim_world_a_robot_cannot_move_in_is_a_data_error(capsys, tmp_path, case):
+    text, fragment = SIM_ERROR_WORLDS[case]
+    world = tmp_path / "w.txt"
+    world.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "sim", str(world), "data/cross.frm",
+        "--out", str(tmp_path / "t.csv"), "--svg", str(tmp_path / "t.svg"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mereoml: ") and err.count("\n") == 1
+    assert fragment in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("t.*"))
+
+
 # --- cross-cutting ---------------------------------------------------------
 
 
@@ -491,6 +527,26 @@ def test_input_that_is_not_utf8_is_a_data_error(capsys, tmp_path, argv):
     assert err.startswith("mereoml: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not list(tmp_path.glob("t.*"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("load", "{bad}"),
+        ("net", "{bad}", "--input", "0"),
+        ("sim", "{bad}", "data/cross.frm", "--out", "{tmp}/t.csv", "--svg", "{tmp}/t.svg"),
+        ("sim", "data/corridor_world.txt", "{bad}", "--out", "{tmp}/t.csv",
+         "--svg", "{tmp}/t.svg"),
+    ],
+    ids=["load", "net", "sim-world", "sim-formation"],
+)
+def test_input_that_is_not_utf8_names_the_file(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a,b\n\xff\xfe\n")
+    code, _, err = run(capsys, *(a.format(bad=bad, tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith(f"mereoml: {bad}: not UTF-8")
+    assert "0xff at offset 4" in err
 
 
 @pytest.mark.parametrize(

@@ -267,6 +267,14 @@ def test_world_validation():
         World(bounds, (), goal, 1, ((3, sq(9, 1)),))
 
 
+def test_world_rejects_a_robot_inside_an_obstacle():
+    bounds, goal, wall = Rect(0, 0, 4, 4), Rect(3, 3, 4, 4), Rect(1, 0, 2, 2)
+    with pytest.raises(MereomlError, match="robot 2 overlaps an obstacle"):
+        World(bounds, (wall,), goal, 1, ((2, Rect(1.5, 1.5, 2.5, 2.5)),))
+    # touching the obstacle's edge overlaps no area
+    World(bounds, (wall,), goal, 1, ((2, Rect(2, 0, 3, 1)),))
+
+
 def test_load_world_shipped_corridor():
     world = load_world("data/corridor_world.txt")
     assert world.bounds == Rect(0, 0, 10, 5)

@@ -20,11 +20,13 @@ from mereoml import (
     InformationSystem,
     LukasiewiczInclusion,
     MereomlError,
+    ParameterError,
     ResidualInclusion,
     RoughInclusion,
     all_granules,
     classify,
     classify_many,
+    discretize,
     granular_mirror,
     granule,
     ind_fraction,
@@ -49,6 +51,15 @@ def test_radius_grid():
     assert radius_grid(1) == (Fraction(1),)
     with pytest.raises(ValueError):
         radius_grid(0)
+
+
+def test_parameter_errors_are_package_errors():
+    table = InformationSystem(("v",), (("1",),))
+    for call in (lambda: radius_grid(0), lambda: discretize(table, ["v"], 0)):
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert isinstance(info.value, MereomlError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_make_inclusion():

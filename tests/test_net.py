@@ -1,16 +1,22 @@
 """Fusion networks: construction, degree propagation, bound checking."""
 
+import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as strat
+import numpy as np
 import pytest
 
+import mereoml.net
 from mereoml import (
     Agent,
     And,
     Atom,
+    CartesianRows,
     Granule,
     InformationSystem,
     LukasiewiczInclusion,
@@ -29,6 +35,7 @@ from mereoml import (
     propagate,
     t_lukasiewicz,
 )
+from mereoml.cli import main
 
 
 def agent_b():
@@ -353,3 +360,154 @@ def test_load_network_errors(tmp_path, text, fragment):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(NetworkError, match=fragment):
         load_network(path)
+
+
+# --- implicit product universes against the eager construction -------------
+
+
+def ref_consumer_from(name, producers, selectors=None):
+    """The eager construction: every product row and selector as a tuple."""
+    if not producers:
+        raise NetworkError("a consumer needs at least one producer")
+    features = []
+    for p in producers:
+        for f in p.system.features:
+            if f in features:
+                raise NetworkError(f"feature {f!r} owned by two producers of {name!r}")
+            features.append(f)
+    if selectors is None:
+        selectors = list(
+            itertools.product(*(range(len(p.system.rows)) for p in producers))
+        )
+    rows = []
+    for sel in selectors:
+        if len(sel) != len(producers):
+            raise NetworkError(f"selector {sel} has wrong arity for {name!r}")
+        row = ()
+        for p, i in zip(producers, sel):
+            row += p.system.rows[i]
+        rows.append(row)
+    target_sets = [set(p.targets) for p in producers]
+    targets = tuple(
+        i
+        for i, sel in enumerate(selectors)
+        if all(x in ts for x, ts in zip(sel, target_sets))
+    )
+    return Agent(
+        name,
+        InformationSystem(tuple(features), tuple(rows)),
+        targets,
+        tuple(producers),
+        tuple(tuple(sel) for sel in selectors),
+    )
+
+
+@strat.composite
+def producer_agents(draw):
+    """1-3 input agents of 1-5 rows, targets unsorted and with repeats."""
+    agents = []
+    for k in range(draw(strat.integers(1, 3))):
+        features = tuple(f"p{k}f{j}" for j in range(draw(strat.integers(1, 3))))
+        n = draw(strat.integers(1, 5))
+        rows = tuple(
+            tuple(draw(strat.sampled_from("012")) for _ in features) for _ in range(n)
+        )
+        targets = tuple(draw(strat.lists(strat.integers(0, n - 1), min_size=1, max_size=6)))
+        agents.append(Agent(f"p{k}", InformationSystem(features, rows), targets))
+    return agents
+
+
+def assert_same_sequence(lazy, eager):
+    assert isinstance(lazy, CartesianRows) and isinstance(eager, tuple)
+    n = len(eager)
+    assert len(lazy) == n
+    assert [lazy[i] for i in range(n)] == list(eager)
+    assert [lazy[-i] for i in range(1, n + 1)] == [eager[-i] for i in range(1, n + 1)]
+    for i in (n, n + 3, -n - 1):
+        with pytest.raises(IndexError):
+            lazy[i]
+    assert tuple(lazy) == eager
+    assert lazy == eager and eager == lazy
+    assert not (lazy != eager) and not (eager != lazy)
+    assert hash(lazy) == hash(eager)
+    if n > 1:
+        other = eager[:-1] + (("x",),)
+        assert lazy != other and other != lazy
+
+
+@hypothesis.given(producer_agents(), strat.data())
+def test_product_consumer_matches_eager_reference(producers, data):
+    lazy = consumer_from("top", producers)
+    eager = ref_consumer_from("top", producers)
+    assert_same_sequence(lazy.system.rows, eager.system.rows)
+    assert_same_sequence(lazy.selectors, eager.selectors)
+    assert lazy.targets == eager.targets
+    assert lazy == eager and eager == lazy
+    assert hash(lazy) == hash(eager)
+
+    inc_lazy = LukasiewiczInclusion(lazy.system)
+    inc_eager = LukasiewiczInclusion(eager.system)
+    assert np.array_equal(inc_lazy.dis_counts, inc_eager.dis_counts)
+    objects = strat.integers(0, len(eager.system.rows) - 1)
+    x, y = data.draw(objects), data.draw(objects)
+    assert inc_lazy.degree(x, y) == inc_eager.degree(x, y)
+
+    members = data.draw(strat.frozensets(objects, min_size=1))
+    feature = data.draw(strat.sampled_from(eager.system.features))
+    phi = Atom(feature, data.draw(strat.sampled_from("012")))
+    assert extension(members, phi, lazy.system) == extension(members, phi, eager.system)
+
+    if len(producers) == 2:
+        g = []
+        for p in producers:
+            ids = strat.integers(0, len(p.system.rows) - 1)
+            g.append(Granule(data.draw(ids), Fraction(1, 2), data.draw(strat.frozensets(ids))))
+        assert fuse_granules(*g, lazy) == fuse_granules(*g, eager)
+
+
+def product_net_text(rows, seed=0):
+    """Four 3-feature input agents of ``rows`` rows, two auto consumers over
+    pairs of them and an auto top over both: rows**4 top rows."""
+    rng = random.Random(seed)
+    lines = ["layer"]
+    for a in range(4):
+        lines.append(f"agent in{a}")
+        lines.append("features " + " ".join(f"f{a}_{j}" for j in range(3)))
+        for _ in range(rows):
+            lines.append("object " + " ".join(f"v{rng.randrange(4)}" for _ in range(3)))
+        for t in rng.sample(range(rows), 3):
+            lines.append(f"target {t}")
+    lines += ["layer", "agent mid0 auto in0 in1", "agent mid1 auto in2 in3"]
+    lines += ["layer", "agent top auto"]
+    return "\n".join(lines) + "\n"
+
+
+def test_net_output_matches_eager_reference_on_a_16_to_the_4_net(
+    capsys, tmp_path, monkeypatch
+):
+    path = tmp_path / "big.net"
+    path.write_text(product_net_text(16), encoding="utf-8")
+    argv = ["net", str(path)]
+    for row in ("v0,v1,v2", "v3,v3,v0", "v1,v2,v1", "v2,v0,v3"):
+        argv += ["--input", row]
+    outputs = []
+    for build in (consumer_from, ref_consumer_from):
+        monkeypatch.setattr(mereoml.net, "consumer_from", build)
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert len(load_network(path).output.system.rows) == 16**4
+
+
+def test_load_network_keeps_the_product_implicit(tmp_path):
+    path = tmp_path / "big.net"
+    path.write_text(product_net_text(16), encoding="utf-8")
+    load_network(path)  # warm imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        net = load_network(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(a.system.rows) for layer in net.layers for a in layer) == 66_112
+    assert peak < 1_000_000
