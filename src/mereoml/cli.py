@@ -96,7 +96,7 @@ def _cmd_load(args) -> int:
 def _cmd_classify(args) -> int:
     system = _load_table(args)
     radii = None
-    if args.radii:
+    if args.radii is not None:
         radii = [_parse_radius(r) for r in args.radii.split(",")]
     report = granulation.run_decider(
         system,

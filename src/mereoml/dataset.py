@@ -194,7 +194,7 @@ class InformationSystem:
         try:
             return self.features.index(feature)
         except ValueError:
-            raise UnknownFeature(feature) from None
+            raise UnknownFeature(f"no feature named {feature!r}") from None
 
     def value(self, obj: int, feature: str) -> str:
         self._check_object(obj)

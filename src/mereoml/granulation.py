@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import or_
 from statistics import fmean
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
@@ -46,11 +49,126 @@ def make_inclusion(kind: str, system) -> RoughInclusion:
 
 @dataclass(frozen=True, slots=True)
 class Granule:
-    """All objects whose degree of containment in the center reaches ``radius``."""
+    """All objects whose degree of containment in the center reaches ``radius``.
+
+    ``members`` is a frozenset, or a :class:`MemberView` of the granule's row
+    in a membership matrix; the two are interchangeable as sets.
+    """
 
     center: int
     radius: Degree
-    members: frozenset[int]
+    members: AbstractSet[int]
+
+
+def _plain(other) -> frozenset | set | None:
+    """``other`` as a built-in set, or None if it is not a set at all."""
+    if isinstance(other, MemberView):
+        return other.frozen
+    if isinstance(other, (set, frozenset)):
+        return other
+    return frozenset(other) if isinstance(other, Set) else None
+
+
+def _on_frozen(op):
+    """A set operator applied to the view's frozenset and a built-in set."""
+
+    def method(self, other):
+        other = _plain(other)
+        return NotImplemented if other is None else op(self.frozen, other)
+
+    return method
+
+
+class MemberView(Set):
+    """A granule's members as a read-only set view of its row's bitset.
+
+    ``bits`` has bit x set iff object x is a member.  ``len`` is its
+    popcount and :func:`member_bits` reads it as is, so neither decodes a
+    member.  The frozenset of members is built on first use by anything
+    else; comparisons and ``&``, ``|``, ``-``, ``^`` are those of that
+    frozenset, so a view equals and hashes like the frozenset it stands for
+    and returns plain frozensets (or sets, with a ``set`` on the left).
+    """
+
+    __slots__ = ("bits", "_frozen")
+
+    def __init__(self, bits: int):
+        self.bits = bits
+        self._frozen = None
+
+    @property
+    def frozen(self) -> frozenset[int]:
+        if self._frozen is None:
+            self._frozen = frozenset(_bit_list(self.bits))
+        return self._frozen
+
+    def __len__(self) -> int:
+        return self.bits.bit_count()
+
+    def __contains__(self, x) -> bool:
+        if type(x) is int:
+            return x >= 0 and bool(self.bits >> x & 1)
+        return x in self.frozen
+
+    def __iter__(self):
+        return iter(self.frozen)
+
+    def __eq__(self, other):
+        if isinstance(other, MemberView):
+            return self.bits == other.bits
+        other = _plain(other)
+        return NotImplemented if other is None else self.frozen == other
+
+    def __hash__(self) -> int:
+        return hash(self.frozen)
+
+    def __repr__(self) -> str:
+        return f"MemberView({_bit_list(self.bits)})"
+
+    def isdisjoint(self, other) -> bool:
+        return self.frozen.isdisjoint(other)
+
+    __le__ = _on_frozen(lambda s, o: s <= o)
+    __lt__ = _on_frozen(lambda s, o: s < o)
+    __ge__ = _on_frozen(lambda s, o: s >= o)
+    __gt__ = _on_frozen(lambda s, o: s > o)
+    __and__ = _on_frozen(lambda s, o: s & o)
+    __or__ = _on_frozen(lambda s, o: s | o)
+    __sub__ = _on_frozen(lambda s, o: s - o)
+    __xor__ = _on_frozen(lambda s, o: s ^ o)
+    __rand__ = _on_frozen(lambda s, o: o & s)
+    __ror__ = _on_frozen(lambda s, o: o | s)
+    __rsub__ = _on_frozen(lambda s, o: o - s)
+    __rxor__ = _on_frozen(lambda s, o: o ^ s)
+
+
+def member_bits(members: AbstractSet[int]) -> int:
+    """The members as an integer bitset: bit x is set iff object x is a member."""
+    if isinstance(members, MemberView):
+        return members.bits
+    # a set's members are distinct, so adding their bits sets each once
+    return sum(map((1).__lshift__, members))
+
+
+def _row_bits(matrix: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an integer bitset, bit x for column x."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    rows = [data[i : i + width] for i in range(0, len(data), width or 1)]
+    return list(map(int.from_bytes, rows, repeat("little")))
+
+
+def _bits_matrix(bits: Sequence[int], n: int) -> np.ndarray:
+    """Bitsets over n objects as a len(bits) x n matrix of 0/1 uint8."""
+    width = (n + 7) // 8
+    data = b"".join(b.to_bytes(width, "little") for b in bits)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(bits), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def _bit_list(bits: int) -> list[int]:
+    """The set bits of ``bits``, ascending."""
+    return np.flatnonzero(_bits_matrix([bits], bits.bit_length())[0]).tolist()
 
 
 @dataclass(frozen=True)
@@ -61,8 +179,8 @@ class Covering:
     universe: frozenset[int]
 
     def __post_init__(self):
-        covered = frozenset().union(*(g.members for g in self.granules)) if self.granules else frozenset()
-        if covered != self.universe:
+        covered = reduce(or_, (member_bits(g.members) for g in self.granules), 0)
+        if covered != member_bits(self.universe):
             raise MereomlError("granules do not cover the universe exactly")
 
 
@@ -147,69 +265,59 @@ def granule(center: int, r: Degree, inclusion: RoughInclusion) -> Granule:
 def all_granules(r: Degree, inclusion: RoughInclusion) -> tuple[Granule, ...]:
     """One granule per object, in object order.
 
-    With an inclusion offering ``membership_matrix``, every granule is a row
-    of one boolean matrix, split into member sets from a single ``nonzero``.
-    The members are drawn from one shared array of object ids, so the
-    granules share their int objects and dropping them frees none.
+    With an inclusion offering ``membership_matrix``, the granules of the
+    radius are one family: the rows of that boolean matrix, each packed into
+    an integer bitset that its granule's :class:`MemberView` holds.  No
+    member set is built until one is asked for.
     """
     universe = inclusion.system.objects
     if not hasattr(inclusion, "membership_matrix"):
         return tuple(granule(x, r, inclusion) for x in universe)
     _check_granule_args(r, inclusion)
-    matrix = inclusion.membership_matrix(r)
-    ids = np.array(universe, dtype=object)
-    members = ids[np.nonzero(matrix)[1]].tolist()
-    ends = np.cumsum(matrix.sum(axis=1)).tolist()
-    return tuple(
-        Granule(x, r, frozenset(members[start:end]))
-        for x, start, end in zip(universe, [0] + ends, ends)
-    )
+    rows = _row_bits(inclusion.membership_matrix(r))
+    return tuple(map(Granule, universe, repeat(r), map(MemberView, rows)))
 
 
 def irreducible_covering(granules: Sequence[Granule], universe: frozenset[int]) -> Covering:
     """Select a covering from which no granule can be dropped.
 
-    Greedy pass by descending member count (ties to the lower center id),
-    then a reverse elimination pass: a granule added early can be made
-    redundant by later picks.  The reverse pass keeps, per object, the
-    number of kept granules covering it.  A granule is dropped iff it is not
-    the last one left, each of its members in the universe is covered at
-    least twice, and no other kept granule reaches outside the universe;
-    dropping it lowers its members' counts before the next, earlier pick is
-    tried.  Deterministic.
+    Works on the members' integer bitsets (:func:`member_bits`).  Greedy
+    pass by descending member count (ties to the lower center id), then a
+    reverse elimination pass: a granule added early can be made redundant by
+    later picks.  A granule is dropped iff every one of its members in the
+    universe is covered by another kept granule, and no other kept granule
+    reaches outside the universe.  The other kept granules are the earlier
+    picks, all still kept, and the later ones that survived.  Deterministic.
     """
-    order = sorted(granules, key=lambda g: (-len(g.members), g.center))
-    chosen: list[Granule] = []
-    uncovered = set(universe)
-    for g in order:
+    granules = list(granules)
+    bits = [member_bits(g.members) for g in granules]
+    whole = member_bits(universe)
+    order = np.lexsort(([g.center for g in granules], [-b.bit_count() for b in bits]))
+    chosen: list[int] = []
+    uncovered = whole
+    for i in order.tolist():
         if not uncovered:
             break
-        if not uncovered.isdisjoint(g.members):
-            chosen.append(g)
-            uncovered -= g.members
+        if uncovered & bits[i]:
+            chosen.append(i)
+            uncovered &= ~bits[i]
     if uncovered:
-        raise MereomlError(f"granules cannot cover objects {sorted(uncovered)}")
-    cover = Counter(chain.from_iterable(g.members for g in chosen))
-    once = {x for x, c in cover.items() if c == 1} & universe
-    strays = [not g.members <= universe for g in chosen]
+        raise MereomlError(f"granules cannot cover objects {_bit_list(uncovered)}")
+    strays = [(bits[i] & ~whole) != 0 for i in chosen]
     kept_strays = sum(strays)
-    kept = [True] * len(chosen)
-    left = len(chosen)
-    for i in reversed(range(len(chosen))):
-        g = chosen[i]
-        # the rest cover the universe exactly: every member of g is covered
-        # again, and no other kept granule reaches outside the universe
-        if left > 1 and kept_strays == strays[i] and once.isdisjoint(g.members):
-            kept[i] = False
-            left -= 1
-            kept_strays -= strays[i]
-            for x in g.members:
-                cover[x] -= 1
-                if cover[x] == 1:
-                    once.add(x)
-    survivors = sorted(
-        (g for g, keep in zip(chosen, kept) if keep), key=lambda g: g.center
-    )
+    earlier = list(accumulate((bits[i] for i in chosen), or_, initial=0))
+    later = 0
+    kept = []
+    for k in reversed(range(len(chosen))):
+        own = bits[chosen[k]]
+        # the rest cover the universe exactly: every member of this granule
+        # is covered again, and no other kept granule reaches outside it
+        if kept_strays == strays[k] and (own & whole & ~(earlier[k] | later)) == 0:
+            kept_strays -= strays[k]
+        else:
+            later |= own
+            kept.append(chosen[k])
+    survivors = sorted((granules[i] for i in reversed(kept)), key=lambda g: g.center)
     return Covering(tuple(survivors), universe)
 
 
@@ -225,24 +333,40 @@ def majority_value(values: Sequence[str]) -> str:
 def _vote(membership: np.ndarray, table: EncodedTable) -> EncodedTable:
     """Per row of the 0/1 ``membership`` matrix, each column's commonest code.
 
-    Per column, ``membership`` times a one-hot of the codes counts every
-    token among the row's members; codes follow sorted token order, so the
-    first maximum is the smallest tied token, as in :func:`majority_value`.
+    Consecutive columns are voted together in blocks: each column's one-hot
+    is padded to the block's widest vocabulary, and a block holds at most one
+    one-hot column per object (a wider column is a block of its own).  So a
+    block is one product of ``membership`` with an objects x at most objects
+    matrix, which counts every token among a row's members, and one
+    ``argmax``.  Codes follow sorted token order and padding counts nothing,
+    so the first maximum is the smallest tied token, as in
+    :func:`majority_value`.
     """
-    codes = np.empty((len(membership), len(table.vocab)), dtype=table.codes.dtype)
-    for j, tokens in enumerate(table.vocab):
-        one_hot = table.codes[:, j, None] == np.arange(len(tokens))
-        codes[:, j] = (membership @ one_hot.astype(membership.dtype)).argmax(axis=1)
+    n, m = table.codes.shape
+    widths = [len(tokens) for tokens in table.vocab]
+    objects = np.arange(n)[:, None]
+    codes = np.empty((len(membership), m), dtype=table.codes.dtype)
+    start = 0
+    while start < m:
+        stop, width = start + 1, widths[start]
+        while stop < m and (stop + 1 - start) * max(width, widths[stop]) <= n:
+            width = max(width, widths[stop])
+            stop += 1
+        one_hot = np.zeros((n, (stop - start) * width), dtype=membership.dtype)
+        one_hot[objects, table.codes[:, start:stop] + np.arange(0, one_hot.shape[1], width)] = 1
+        counts = (membership @ one_hot).reshape(len(membership), stop - start, width)
+        codes[:, start:stop] = counts.argmax(axis=2)
+        # free this block's arrays before the next block's are built
+        del one_hot, counts
+        start = stop
     return EncodedTable(codes, table.vocab, table.index)
 
 
 def _tokens(table: EncodedTable) -> tuple[tuple[str, ...], ...]:
-    """The code rows decoded back to token rows."""
-    columns = [
-        list(map(tokens.__getitem__, codes))
-        for tokens, codes in zip(table.vocab, table.codes.T.tolist())
-    ]
-    return tuple(zip(*columns)) if columns else ((),) * len(table.codes)
+    """The code rows decoded back to token rows, through one flat vocabulary."""
+    tokens = np.array([t for column in table.vocab for t in column], dtype=object)
+    offsets = np.cumsum([0, *map(len, table.vocab)])[:-1]
+    return tuple(map(tuple, tokens[table.codes + offsets].tolist()))
 
 
 def granular_mirror(
@@ -250,8 +374,8 @@ def granular_mirror(
 ) -> GranularReflection:
     """Vote each granule into a single mirror row (conditional and decision).
 
-    The covering becomes one granules x objects 0/1 matrix.  Per column,
-    that matrix times a one-hot of the column's codes counts each token in
+    The covering's member bitsets become one granules x objects 0/1 matrix.
+    That matrix times a one-hot of each column's codes counts each token in
     each granule, and ``argmax`` picks the winner, ties going to the
     smallest token as in :func:`majority_value`.  The mirror keeps the voted
     codes for :func:`classify_many`.
@@ -261,19 +385,18 @@ def granular_mirror(
     if not covering.granules:
         # a table without objects: nothing to vote, and no token to argmax over
         return GranularReflection(covering, system.features, (), (), strategy)
-    sizes = [len(g.members) for g in covering.granules]
-    membership = np.zeros((len(sizes), len(system.decisions)), dtype=np.float32)
-    membership[
-        np.repeat(np.arange(len(sizes)), sizes),
-        [x for g in covering.granules for x in g.members],
-    ] = 1
+    n = len(system.decisions)
+    bits = [member_bits(g.members) for g in covering.granules]
+    if max(bits).bit_length() > n:
+        raise MereomlError(f"the covering reaches objects outside the table's {n} rows")
+    membership = _bits_matrix(bits, n).astype(np.float32)
     rows = _vote(membership, system.system.encoded)
     decisions = _vote(membership, system.decisions_encoded)
     return GranularReflection(
         covering,
         system.features,
         _tokens(rows),
-        tuple(d for (d,) in _tokens(decisions)),
+        tuple(map(decisions.vocab[0].__getitem__, decisions.codes[:, 0].tolist())),
         strategy,
         rows,
         decisions,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import AbstractSet, Iterable, Union
 
 import numpy as np
 
@@ -294,7 +294,7 @@ def nu(mode: NuMode, x: frozenset[int], y: frozenset[int]) -> Fraction:
 
 
 def extension(
-    g: frozenset[int],
+    g: AbstractSet[int],
     formula: Formula,
     system,
     mode: NuMode = NuMode.NUL,
@@ -303,7 +303,7 @@ def extension(
     return nu(mode, frozenset(g), meaning(formula, system))
 
 
-def is_true_at(g: frozenset[int], formula: Formula, system) -> bool:
+def is_true_at(g: AbstractSet[int], formula: Formula, system) -> bool:
     """Truth at a granule: the granule lies inside the meaning.
 
     For a rule a -> b this is equivalent to (g intersect [a]) being inside
@@ -326,16 +326,13 @@ class GranuleSet:
         return iter(self.granules)
 
 
-def is_valid(granules: GranuleSet | Iterable[frozenset[int]], formula: Formula, system) -> bool:
+def is_valid(granules: GranuleSet | Iterable[AbstractSet[int]], formula: Formula, system) -> bool:
     """Validity: truth at the union of all granules."""
-    union: set[int] = set()
-    for g in granules:
-        union |= g
-    return frozenset(union) <= meaning(formula, system)
+    return frozenset().union(*granules) <= meaning(formula, system)
 
 
 def graded_truth(
-    g: frozenset[int],
+    g: AbstractSet[int],
     formula: Formula,
     system,
     r,
@@ -345,7 +342,7 @@ def graded_truth(
     return extension(g, formula, system, mode) >= r
 
 
-def collapse_value(g: frozenset[int], formula: Formula, system) -> Fraction:
+def collapse_value(g: AbstractSet[int], formula: Formula, system) -> Fraction:
     """Many-valued worth of the propositional skeleton on a granule.
 
     Atoms take their proportional degree on g; connectives fold by the
@@ -392,7 +389,7 @@ class RuleAudit:
 
 
 def rule_audit(
-    g: frozenset[int],
+    g: AbstractSet[int],
     alpha: Formula,
     beta: Formula,
     system,

@@ -153,6 +153,20 @@ def test_load_bad_discretize_spec(capsys, table_csv):
     assert code == 2
 
 
+def _one_error_line(err, *parts):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("mereoml: "), err
+    assert "Traceback" not in err
+    for part in parts:
+        assert part in lines[0]
+
+
+def test_load_discretize_unknown_column_names_it(capsys, table_csv):
+    code, out, err = run(capsys, "load", table_csv, "--discretize", "zz:2")
+    assert code == 2 and out == ""
+    _one_error_line(err, "'zz'")
+
+
 def test_load_discretize_keeps_a_header_only_table(capsys, tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("a,b,d\n", encoding="utf-8")
@@ -227,6 +241,14 @@ def test_classify_bad_radius(capsys, table_csv):
     )
     assert code == 2
     assert "bad radius" in err
+
+
+def test_classify_empty_radii_is_a_bad_radius(capsys, table_csv):
+    code, out, err = run(
+        capsys, "classify", table_csv, "--decision", "d", "--seed", "0", "--radii", ""
+    )
+    assert code == 2 and out == ""
+    _one_error_line(err, "bad radius ''")
 
 
 def test_classify_decision_only_table_is_data_error(capsys, tmp_path):
@@ -380,6 +402,15 @@ def test_logic_granules_from_needs_kind(capsys, table_csv):
     )
     assert code == 2
     assert "radius,inclusion" in err
+
+
+def test_logic_unknown_feature_names_it(capsys, table_csv):
+    code, out, err = run(
+        capsys, "logic", table_csv, "--decision", "d",
+        "--granules-from", "1,lukasiewicz", "--eval", "zz=1",
+    )
+    assert code == 2 and out == ""
+    _one_error_line(err, "'zz'")
 
 
 def test_logic_parse_error_exits_2(capsys, table_csv):

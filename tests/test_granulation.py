@@ -1,6 +1,9 @@
 """Granules, irreducible coverings, mirror tables, the CV decider."""
 
+import math
+import operator
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from statistics import fmean
@@ -20,6 +23,7 @@ from mereoml import (
     InformationSystem,
     LukasiewiczInclusion,
     MereomlError,
+    NuMode,
     ParameterError,
     ResidualInclusion,
     RoughInclusion,
@@ -27,17 +31,21 @@ from mereoml import (
     classify,
     classify_many,
     discretize,
+    extension,
     granular_mirror,
     granule,
     ind_fraction,
     irreducible_covering,
+    is_true_at,
+    is_valid,
     majority_value,
     make_inclusion,
+    parse_formula,
     radius_grid,
     run_decider,
     stratified_folds,
 )
-from mereoml.granulation import RadiusResult
+from mereoml.granulation import MemberView, RadiusResult, member_bits
 from strategies import decision_tables, granules_for, tables
 
 
@@ -177,6 +185,16 @@ def test_irreducible_covering_drops_absorbed_early_picks():
     assert [gr.center for gr in picked.granules] == [1, 4]
 
 
+def test_irreducible_covering_keeps_picks_while_a_stray_is_kept():
+    # {0, 1, 8, 9} reaches outside the universe: {0, 1, 2}, covered by the
+    # other two, must stay until the stray is dropped, which it then is
+    universe = frozenset({0, 1, 2, 3})
+    family = [g(0, {0, 1, 8, 9}), g(1, {0, 1, 2}), g(2, {1, 2, 3})]
+    cov = irreducible_covering(family, universe)
+    assert [gr.center for gr in cov.granules] == [1, 2]
+    assert cov == ref_irreducible_covering(family, universe)
+
+
 def test_irreducible_covering_sorted_and_deterministic():
     universe = frozenset({0, 1, 2, 3})
     fam = [g(3, {2, 3}), g(0, {0, 1}), g(1, {1, 2})]
@@ -253,6 +271,12 @@ def test_granular_mirror_rejects_unknown_strategy():
     cov = Covering((g(0, {0, 1, 2, 3}),), frozenset({0, 1, 2, 3}))
     with pytest.raises(MereomlError):
         granular_mirror(cov, MIRROR_SYSTEM, strategy="WV")
+
+
+def test_granular_mirror_rejects_objects_outside_the_table():
+    cov = Covering((g(0, {0, 1, 2, 3, 4}),), frozenset({0, 1, 2, 3, 4}))
+    with pytest.raises(MereomlError, match="outside"):
+        granular_mirror(cov, MIRROR_SYSTEM)
 
 
 def test_classify_nearest_row():
@@ -552,3 +576,114 @@ def test_run_decider_matches_reference_on_a_seeded_table(inclusion):
     report = run_decider(system, folds=5, seed=3, inclusion=inclusion)
     assert len(report.per_radius) == 14
     assert report == ref_run_decider(system, 5, 3, inclusion)
+
+
+# --- bit rows: word boundaries, the member view, memory -----------------------
+
+
+def _radii(kind, m):
+    """Every threshold that separates granules under the given inclusion."""
+    if kind == "lukasiewicz":
+        return (Fraction(0),) + radius_grid(m)
+    # with unit weights a pair differing on k features has degree exp(-k^2)
+    return tuple(math.exp(-k * k) for k in range(m, -1, -1))
+
+
+@pytest.mark.parametrize("kind", ["lukasiewicz", "exp"])
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 300])
+def test_decider_stages_match_reference_across_word_boundaries(n, kind):
+    system = _credit_shaped(n, n, m=6, tokens=4)
+    universe = frozenset(system.objects)
+    rows = list(system.system.rows) + [("9",) * len(system.features)]
+    inc = make_inclusion(kind, system)
+    for r in _radii(kind, len(system.features)):
+        granules = all_granules(r, inc)
+        assert granules == ref_all_granules(r, inc)
+        covering = irreducible_covering(granules, universe)
+        assert covering == ref_irreducible_covering(granules, universe)
+        mirror = granular_mirror(covering, system)
+        assert mirror == ref_granular_mirror(covering, system)
+        assert classify_many(mirror, rows) == ref_classify_many(mirror, rows)
+
+
+_IDS = strat.integers(0, 140)
+
+
+@hypothesis.given(strat.frozensets(_IDS), strat.frozensets(_IDS), strat.sets(_IDS))
+def test_member_view_behaves_as_its_frozenset(s, t, mutable):
+    v = MemberView(member_bits(s))
+    w = MemberView(member_bits(t))
+    assert v == s and s == v and not v != s and hash(v) == hash(s)
+    assert (v == w) == (s == t) and (v == t) == (s == t)
+    assert len(v) == len(s) and bool(v) == bool(s)
+    assert sorted(v) == sorted(s) and frozenset(v) == s
+    for x in [-1, 0, 63, 64, 65, 140, 1.0, True, "a"]:
+        assert (x in v) == (x in s)
+    for other, plain in ((t, t), (w, t), (mutable, mutable)):
+        for op in (
+            operator.le, operator.lt, operator.ge, operator.gt,
+            operator.and_, operator.or_, operator.sub, operator.xor,
+        ):
+            assert op(v, other) == op(s, plain)
+            assert op(other, v) == op(plain, s)
+            assert type(op(v, other)) is type(op(s, plain))
+            assert type(op(other, v)) is type(op(plain, s))
+    assert v.isdisjoint(t) == s.isdisjoint(t)
+    g = Granule(3, Fraction(1, 2), v)
+    h = Granule(3, Fraction(1, 2), s)
+    assert g == h and h == g and hash(g) == hash(h)
+
+
+def test_granules_of_a_matrix_hold_views():
+    system = _credit_shaped(1, 70, m=6, tokens=4)
+    for g in all_granules(Fraction(1, 2), LukasiewiczInclusion(system)):
+        assert isinstance(g.members, MemberView)
+        assert member_bits(g.members) == sum(1 << x for x in g.members)
+
+
+def test_logic_reads_views_as_sets():
+    system = _credit_shaped(2, 70, m=6, tokens=4)
+    inc = LukasiewiczInclusion(system)
+    granules = all_granules(Fraction(2, 3), inc)
+    plain = [frozenset(g.members) for g in granules]
+    formula = parse_formula("a0=1 -> a1=2", system)
+    for g, s in zip(granules, plain):
+        for mode in NuMode:
+            assert extension(g.members, formula, system, mode) == extension(s, formula, system, mode)
+        assert is_true_at(g.members, formula, system) == is_true_at(s, formula, system)
+    views = [g.members for g in granules[:9]]
+    assert is_valid(views, formula, system) == is_valid(plain[:9], formula, system)
+    assert is_valid(iter(views), formula, system) == is_valid(plain[:9], formula, system)
+
+
+def _peak(fn, *args):
+    """Tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_granular_mirror_memory_on_all_distinct_columns():
+    # every column has n distinct tokens, and at radius 1 every granule is a
+    # singleton: the widest vocabularies and the largest covering at once
+    n, m = 600, 14
+    rows = tuple(tuple(f"{j}:{i}" for j in range(m)) for i in range(n))
+    system = DecisionSystem(
+        InformationSystem(tuple(f"a{j}" for j in range(m)), rows),
+        "d",
+        tuple("+-"[i % 2] for i in range(n)),
+    )
+    covering = irreducible_covering(
+        all_granules(Fraction(1), LukasiewiczInclusion(system)), frozenset(system.objects)
+    )
+    assert len(covering.granules) == n
+    system.system.encoded, system.decisions_encoded
+    assert _peak(granular_mirror, covering, system) < 16 * n * n
+
+
+def test_run_decider_memory_on_a_credit_sized_table():
+    system = _credit_shaped(1, 690)
+    assert _peak(run_decider, system, 5, 0) < 12 * 2**20
