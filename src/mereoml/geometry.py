@@ -156,13 +156,13 @@ class Formation:
     species: str = "roomba"
 
     def robot_ids(self) -> frozenset[int]:
-        ids: set[int] = set()
-        for c in self.constraints:
-            if isinstance(c, MaxDist):
-                ids |= {c.robot, c.inner.robot, c.inner.a, c.inner.b}
-            else:
-                ids |= {c.robot, c.a, c.b}
-        return frozenset(ids)
+        return frozenset(rid for c in self.constraints for rid in _clause_robots(c))
+
+
+def _clause_robots(c: Constraint) -> tuple[int, ...]:
+    if isinstance(c, MaxDist):
+        return (c.robot, c.inner.robot, c.inner.a, c.inner.b)
+    return (c.robot, c.a, c.b)
 
 
 class FormationParseError(MereomlError):
@@ -281,8 +281,10 @@ def _parse_clause(tokens: _SexpTokens, species: list[str]) -> Constraint:
             raise FormationParseError(
                 f"expected a distance, found {num!r} at column {ncol}"
             ) from None
-        if delta <= 0:
-            raise FormationParseError(f"max-dist must be positive at column {ncol}")
+        if not (math.isfinite(delta) and delta > 0):
+            raise FormationParseError(
+                f"max-dist must be positive and finite at column {ncol}"
+            )
         robot = _parse_robot(tokens, species)
         inner = _parse_clause(tokens, species)
         if not isinstance(inner, Between):
@@ -319,50 +321,62 @@ class Violation:
     reason: str
 
 
-def _centroid_distance(a: Rect, b: Rect) -> float:
-    ax, ay = a.center
-    bx, by = b.center
-    return math.hypot(ax - bx, ay - by)
+#: a rectangle as plain (x1, y1, x2, y2) coordinates, for the formation checks
+Box = tuple[float, float, float, float]
 
 
 def check_formation(
     formation: Formation, poses: Mapping[int, Rect]
 ) -> list[Violation]:
     """All constraints violated by the given poses, with their indices."""
+    boxes = {rid: (r.x1, r.y1, r.x2, r.y2) for rid, r in poses.items()}
     out = []
     for i, c in enumerate(formation.constraints):
-        reason = _check_one(c, poses)
+        try:
+            reason = _check_one(c, boxes)
+        except KeyError as missing:
+            raise MereomlError(f"no pose for robot {missing.args[0]}") from None
         if reason is not None:
             out.append(Violation(i, c, reason))
     return out
 
 
-def _pose(poses: Mapping[int, Rect], rid: int) -> Rect:
-    try:
-        return poses[rid]
-    except KeyError:
-        raise MereomlError(f"no pose for robot {rid}") from None
+def _check_one(c: Constraint, boxes: Mapping[int, Box]) -> str | None:
+    """Why clause c fails on the (x1, y1, x2, y2) boxes, or None.
 
-
-def _check_one(c: Constraint, poses: Mapping[int, Rect]) -> str | None:
-    if isinstance(c, Between):
-        if not between_extent(_pose(poses, c.robot), _pose(poses, c.a), _pose(poses, c.b)):
-            return f"robot {c.robot} outside extent of {c.a} and {c.b}"
+    The comparisons are those of ``between_extent`` and of the distance
+    between rectangle centres, made on coordinates.  A robot without a box
+    raises KeyError.
+    """
+    if isinstance(c, MaxDist):
+        reason = _check_one(c.inner, boxes)
+        if reason is not None:
+            return reason
+        rx1, ry1, rx2, ry2 = boxes[c.robot]
+        ax1, ay1, ax2, ay2 = boxes[c.inner.a]
+        bx1, by1, bx2, by2 = boxes[c.inner.b]
+        rx, ry = (rx1 + rx2) / 2, (ry1 + ry2) / 2
+        d = max(
+            math.hypot(rx - (ax1 + ax2) / 2, ry - (ay1 + ay2) / 2),
+            math.hypot(rx - (bx1 + bx2) / 2, ry - (by1 + by2) / 2),
+        )
+        if d > c.delta + _EPS:
+            return f"robot {c.robot} at distance {d:.3f} > {c.delta}"
         return None
-    if isinstance(c, NotBetween):
-        if between_extent(_pose(poses, c.robot), _pose(poses, c.a), _pose(poses, c.b)):
-            return f"robot {c.robot} inside extent of {c.a} and {c.b}"
-        return None
-    inner_reason = _check_one(c.inner, poses)
-    if inner_reason is not None:
-        return inner_reason
-    r = _pose(poses, c.robot)
-    d = max(
-        _centroid_distance(r, _pose(poses, c.inner.a)),
-        _centroid_distance(r, _pose(poses, c.inner.b)),
+    zx1, zy1, zx2, zy2 = boxes[c.robot]
+    ax1, ay1, ax2, ay2 = boxes[c.a]
+    bx1, by1, bx2, by2 = boxes[c.b]
+    inside = (
+        min(ax1, bx1) <= zx1 + _EPS
+        and zx2 <= max(ax2, bx2) + _EPS
+        and min(ay1, by1) <= zy1 + _EPS
+        and zy2 <= max(ay2, by2) + _EPS
     )
-    if d > c.delta + _EPS:
-        return f"robot {c.robot} at distance {d:.3f} > {c.delta}"
+    if isinstance(c, Between):
+        if not inside:
+            return f"robot {c.robot} outside extent of {c.a} and {c.b}"
+    elif inside:
+        return f"robot {c.robot} inside extent of {c.a} and {c.b}"
     return None
 
 
@@ -379,8 +393,8 @@ class World:
     robots: tuple[tuple[int, Rect], ...]
 
     def __post_init__(self):
-        if self.cell <= 0:
-            raise MereomlError(f"cell size must be positive, got {self.cell}")
+        if not (math.isfinite(self.cell) and self.cell > 0):
+            raise MereomlError(f"cell size must be positive and finite, got {self.cell}")
         if not self.bounds.contains(self.goal):
             raise MereomlError("goal outside world bounds")
         for o in self.obstacles:
@@ -400,6 +414,10 @@ class World:
         return dict(self.robots)
 
 
+# how many words follow each world-file directive
+_DIRECTIVE_ARGS = {"bounds": 4, "cell": 1, "obstacle": 4, "goal": 4, "robot": 5}
+
+
 def load_world(path: str | Path) -> World:
     """Read a world from a line-oriented file.
 
@@ -414,21 +432,23 @@ def load_world(path: str | Path) -> World:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        words = line.split()
+        directive, *args = line.split()
+        if directive not in _DIRECTIVE_ARGS:
+            raise MereomlError(f"unknown directive {directive!r}")
         try:
-            if words[0] == "bounds":
-                bounds = Rect(*map(float, words[1:5]))
-            elif words[0] == "cell":
-                cell = float(words[1])
-            elif words[0] == "obstacle":
-                obstacles.append(Rect(*map(float, words[1:5])))
-            elif words[0] == "goal":
-                goal = Rect(*map(float, words[1:5]))
-            elif words[0] == "robot":
-                robots.append((int(words[1]), Rect(*map(float, words[2:6]))))
+            if len(args) != _DIRECTIVE_ARGS[directive]:
+                raise ValueError
+            if directive == "cell":
+                cell = float(args[0])
+            elif directive == "robot":
+                robots.append((int(args[0]), Rect(*map(float, args[1:]))))
+            elif directive == "obstacle":
+                obstacles.append(Rect(*map(float, args)))
+            elif directive == "bounds":
+                bounds = Rect(*map(float, args))
             else:
-                raise MereomlError(f"unknown directive {words[0]!r}")
-        except (IndexError, ValueError, TypeError):
+                goal = Rect(*map(float, args))
+        except ValueError:
             raise MereomlError(f"malformed world line {lineno}: {raw.strip()!r}") from None
     if bounds is None or goal is None or cell is None:
         raise MereomlError("world file needs bounds, goal and cell lines")
@@ -565,16 +585,28 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
     half = {rid: (poses[rid].width / 2, poses[rid].height / 2) for rid in ids}
     cells = {rid: field.cell_of(*poses[rid].center) for rid in ids}
 
-    def rect_at(rid: int, cell: tuple[int, int]) -> Rect:
+    def box_at(rid: int, cell: tuple[int, int]) -> Box:
         cx, cy = field.center(*cell)
         hx, hy = half[rid]
-        return Rect(cx - hx, cy - hy, cx + hx, cy + hy)
+        return (cx - hx, cy - hy, cx + hx, cy + hy)
 
-    # each robot's rectangle, replaced only when that robot moves
-    rects = {rid: rect_at(rid, cells[rid]) for rid in ids}
+    # each robot's box, and the rectangle the log holds, replaced only when
+    # that robot moves
+    boxes = {rid: box_at(rid, cells[rid]) for rid in ids}
+    rects = {rid: Rect(*boxes[rid]) for rid in ids}
+    clauses = formation.constraints
+    # a follower's move decides only the clauses naming it; the others add
+    # the same count to every move it weighs
+    naming = {rid: [c for c in clauses if rid in _clause_robots(c)] for rid in ids}
+
+    def violated(cs: Sequence[Constraint]) -> int:
+        return sum(_check_one(c, boxes) is not None for c in cs)
+
+    def move(rid: int, cell: tuple[int, int], box: Box) -> None:
+        cells[rid], boxes[rid], rects[rid] = cell, box, Rect(*box)
 
     def record(step: int) -> StepRecord:
-        violations = len(check_formation(formation, rects))
+        violations = violated(clauses)
         return StepRecord(
             step,
             tuple(
@@ -613,28 +645,32 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
             if v < best - _EPS:
                 best, best_cell = v, (ci, cj)
         if best_cell is not None:
-            cells[leader], rects[leader] = best_cell, rect_at(leader, best_cell)
+            move(leader, best_cell, box_at(leader, best_cell))
             moved = True
-        # followers: repair first, then advance
+        # followers: repair first, then advance; each trial move takes the
+        # follower's own slot in boxes, which is restored afterwards
         for rid in ids[1:]:
-            ri, rj = cells[rid]
-            choices = []
-            for order, (di, dj) in enumerate(_FOLLOWER_MOVES):
-                cell = (ri + di, rj + dj)
+            here = cells[rid]
+            own = boxes[rid]
+            chosen = None
+            for di, dj in _FOLLOWER_MOVES:
+                cell = (here[0] + di, here[1] + dj)
                 if field.is_blocked(*cell):
                     continue
-                rect = rect_at(rid, cell)
-                bad = len(check_formation(formation, {**rects, rid: rect}))
-                choices.append((bad, field.value(*cell), order, cell, rect))
-            if not choices:
+                boxes[rid] = box = box_at(rid, cell)
+                score = (violated(naming[rid]), field.value(*cell))
+                # earlier moves win ties, so only a strictly lower score replaces
+                if chosen is None or score < chosen[0]:
+                    chosen = (score, cell, box)
+            boxes[rid] = own
+            if chosen is None:
                 raise MereomlError(
                     f"robot {rid} is boxed in: its cell and all eight neighbours are blocked"
                 )
-            choices.sort()
-            chosen, rect = choices[0][3:]
-            if chosen != (ri, rj):
+            _, cell, box = chosen
+            if cell != here:
                 moved = True
-                cells[rid], rects[rid] = chosen, rect
+                move(rid, cell, box)
         steps.append(record(step))
         stall = 0 if moved else stall + 1
         if stall >= _STALL_LIMIT:

@@ -504,6 +504,13 @@ SIM_ERROR_WORLDS = {
         "robot 3 2.4 4.4 2.6 4.6\nrobot 4 3.4 4.4 3.6 4.6\n",
         "robot 1 is boxed in",
     ),
+    # a NaN cell size passes a `cell <= 0` test and would reach the grid
+    "cell-nan": (
+        "bounds 0 0 10 10\ncell nan\ngoal 0 8 2 10\n"
+        "robot 0 1.4 1.4 1.6 1.6\nrobot 1 2.4 2.4 2.6 2.6\nrobot 2 2.4 1.4 2.6 1.6\n"
+        "robot 3 1.4 2.4 1.6 2.6\nrobot 4 1.4 0.4 1.6 0.6\n",
+        "cell size must be positive and finite, got nan",
+    ),
 }
 
 

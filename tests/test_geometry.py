@@ -13,10 +13,14 @@ from mereoml import (
     Between,
     Formation,
     FormationParseError,
+    LogEntry,
     MaxDist,
     MereomlError,
+    NavigationLog,
     NotBetween,
     Rect,
+    StepRecord,
+    Violation,
     World,
     area_inclusion,
     between_extent,
@@ -183,6 +187,8 @@ def test_parse_formation_checks_robot_ids():
         ("(f (set)", "end of input"),
         ("(set (set))", "formation name"),
         ("(f (set (max-dist q roomba 0 (between roomba 0 roomba 1 roomba 2))))", "distance"),
+        ("(f (set (max-dist nan roomba 0 (between roomba 0 roomba 1 roomba 2))))", "positive"),
+        ("(f (set (max-dist inf roomba 0 (between roomba 0 roomba 1 roomba 2))))", "positive"),
     ],
 )
 def test_parse_formation_errors(text, fragment):
@@ -292,6 +298,13 @@ def test_load_world_shipped_corridor():
         ("bounds 0 0 4 4\ncell 1\nwall 1 1 2 2\ngoal 3 3 4 4\n", "wall"),
         ("bounds 0 0 4 4\ncell one\ngoal 3 3 4 4\n", "line 2"),
         ("cell 1\ngoal 0 0 1 1\n", "needs bounds"),
+        ("bounds 0 0 4 4 junk\ncell 1\ngoal 3 3 4 4\n", "malformed world line 1"),
+        ("bounds 0 0 4 4\ncell 0.5 x\ngoal 3 3 4 4\n", "malformed world line 2"),
+        ("bounds 0 0 4 4\ncell 1\ngoal 3 3 4 4\nrobot 0 0.1 0.1 0.3 0.3 extra\n",
+         "malformed world line 4"),
+        ("bounds 0 0 4 4\ncell 1\ngoal 3 3 4 4\nrobot 0 0.1 0.1 0.3\n", "malformed world line 4"),
+        ("bounds 0 0 4 4\ncell nan\ngoal 3 3 4 4\n", "cell size must be positive and finite"),
+        ("bounds 0 0 4 4\ncell inf\ngoal 3 3 4 4\n", "cell size must be positive and finite"),
     ],
 )
 def test_load_world_errors(tmp_path, text, fragment):
@@ -582,6 +595,328 @@ def test_navigate_shipped_scene_reaches_goal():
         for e in rec.entries:
             for o in world.obstacles:
                 assert overlap_area(e.rect, o) == 0
+
+
+# --- the box evaluator against the Rect references -------------------------
+
+
+def ref_check_formation(formation, poses):
+    """The ``Rect``/``extent`` check that the coordinate evaluator replaces."""
+    eps = 1e-9
+
+    def pose(rid):
+        try:
+            return poses[rid]
+        except KeyError:
+            raise MereomlError(f"no pose for robot {rid}") from None
+
+    def centroid_distance(a, b):
+        (ax, ay), (bx, by) = a.center, b.center
+        return math.hypot(ax - bx, ay - by)
+
+    def check_one(c):
+        if isinstance(c, Between):
+            if not between_extent(pose(c.robot), pose(c.a), pose(c.b)):
+                return f"robot {c.robot} outside extent of {c.a} and {c.b}"
+            return None
+        if isinstance(c, NotBetween):
+            if between_extent(pose(c.robot), pose(c.a), pose(c.b)):
+                return f"robot {c.robot} inside extent of {c.a} and {c.b}"
+            return None
+        inner_reason = check_one(c.inner)
+        if inner_reason is not None:
+            return inner_reason
+        r = pose(c.robot)
+        d = max(
+            centroid_distance(r, pose(c.inner.a)),
+            centroid_distance(r, pose(c.inner.b)),
+        )
+        if d > c.delta + eps:
+            return f"robot {c.robot} at distance {d:.3f} > {c.delta}"
+        return None
+
+    out = []
+    for i, c in enumerate(formation.constraints):
+        reason = check_one(c)
+        if reason is not None:
+            out.append(Violation(i, c, reason))
+    return out
+
+
+def ref_navigate(world, formation, max_steps=1000):
+    """The simulator loop that scored every follower move on a fresh dict of
+    ``Rect``s with the whole formation."""
+    eps = 1e-9
+    follower_moves = (
+        (0, 0), (0, 1), (0, -1), (-1, 0), (1, 0), (-1, 1), (1, 1), (-1, -1), (1, -1)
+    )
+    leader_moves = follower_moves[1:]
+    poses = world.robot_poses
+    if not poses:
+        raise MereomlError("world has no robots")
+    unknown = sorted(formation.robot_ids() - set(poses))
+    if unknown:
+        raise MereomlError(f"formation references unknown robots {unknown}")
+    inflate = max(max(r.width, r.height) / 2 for r in poses.values())
+    field = build_potential(world, inflate)
+
+    ids = sorted(poses)
+    leader = ids[0]
+    half = {rid: (poses[rid].width / 2, poses[rid].height / 2) for rid in ids}
+    cells = {rid: field.cell_of(*poses[rid].center) for rid in ids}
+
+    def rect_at(rid, cell):
+        cx, cy = field.center(*cell)
+        hx, hy = half[rid]
+        return Rect(cx - hx, cy - hy, cx + hx, cy + hy)
+
+    rects = {rid: rect_at(rid, cells[rid]) for rid in ids}
+
+    def record(step):
+        violations = len(ref_check_formation(formation, rects))
+        return StepRecord(
+            step,
+            tuple(
+                LogEntry(rid, rects[rid], field.value(*cells[rid]), violations)
+                for rid in ids
+            ),
+        )
+
+    def arrived():
+        return (
+            overlap_area(rects[leader], world.goal) > 0
+            and steps[-1].entries[0].violations == 0
+        )
+
+    def finish(status):
+        return NavigationLog(status, tuple(steps), field)
+
+    steps = [record(0)]
+    if math.isinf(field.value(*cells[leader])):
+        return finish("unreachable")
+    if arrived():
+        return finish("goal_reached")
+
+    stall = 0
+    for step in range(1, max_steps + 1):
+        moved = False
+        li, lj = cells[leader]
+        best = field.value(li, lj)
+        best_cell = None
+        for di, dj in leader_moves:
+            ci, cj = li + di, lj + dj
+            if field.is_blocked(ci, cj):
+                continue
+            v = field.value(ci, cj)
+            if v < best - eps:
+                best, best_cell = v, (ci, cj)
+        if best_cell is not None:
+            cells[leader], rects[leader] = best_cell, rect_at(leader, best_cell)
+            moved = True
+        for rid in ids[1:]:
+            ri, rj = cells[rid]
+            choices = []
+            for order, (di, dj) in enumerate(follower_moves):
+                cell = (ri + di, rj + dj)
+                if field.is_blocked(*cell):
+                    continue
+                rect = rect_at(rid, cell)
+                bad = len(ref_check_formation(formation, {**rects, rid: rect}))
+                choices.append((bad, field.value(*cell), order, cell, rect))
+            if not choices:
+                raise MereomlError(
+                    f"robot {rid} is boxed in: its cell and all eight neighbours are blocked"
+                )
+            choices.sort()
+            chosen, rect = choices[0][3:]
+            if chosen != (ri, rj):
+                moved = True
+                cells[rid], rects[rid] = chosen, rect
+        steps.append(record(step))
+        stall = 0 if moved else stall + 1
+        if stall >= 5:
+            return finish("deadlock")
+        if arrived():
+            return finish("goal_reached")
+    return finish("step_budget")
+
+
+def outcome(run, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return run(*args)
+    except MereomlError as err:
+        return type(err), str(err)
+
+
+def trajectory(run, *args):
+    """A navigation's status and every logged entry, or its error."""
+    log = outcome(run, *args)
+    return (log.status, log.steps) if isinstance(log, NavigationLog) else log
+
+
+def formations(ids, deltas):
+    """Formations over ``ids`` mixing all three clause kinds."""
+    rid = strat.sampled_from(sorted(ids))
+    between = strat.builds(Between, rid, rid, rid)
+    clause = strat.one_of(
+        between,
+        strat.builds(NotBetween, rid, rid, rid),
+        strat.builds(MaxDist, strat.sampled_from(deltas), rid, between),
+    )
+    return strat.lists(clause, max_size=5).map(lambda cs: Formation("f", tuple(cs)))
+
+
+# quarter-unit coordinates on a small range, so that edges and distances
+# coincide often, some nudged by less and some by more than the checks' 1e-9
+# slack, so that both their ties and their slack decide
+NUDGES = strat.sampled_from((0.0, 0.0, 5e-10, -5e-10, 2e-9, -2e-9))
+
+
+@strat.composite
+def nudged_rects(draw):
+    x1 = draw(strat.integers(-3, 3)) * 0.25 + draw(NUDGES)
+    y1 = draw(strat.integers(-3, 3)) * 0.25 + draw(NUDGES)
+    w = draw(strat.integers(1, 4)) * 0.25 + draw(NUDGES)
+    h = draw(strat.integers(1, 4)) * 0.25 + draw(NUDGES)
+    return Rect(x1, y1, x1 + w, y1 + h)
+
+
+@strat.composite
+def posed_formations(draw):
+    """A formation over robots 0-4 and poses that may lack one of them."""
+    formation = draw(formations(range(5), (0.25, 0.5, 0.75, 1.0, 1.25)))
+    missing = draw(strat.sets(strat.integers(0, 4), max_size=1))
+    poses = {rid: draw(nudged_rects()) for rid in range(5) if rid not in missing}
+    return formation, poses
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(posed_formations())
+def test_check_formation_matches_the_rect_reference(case):
+    formation, poses = case
+    assert outcome(check_formation, formation, poses) == outcome(
+        ref_check_formation, formation, poses
+    )
+
+
+@pytest.mark.parametrize("nudge", [-2e-9, -5e-10, 0.0, 5e-10, 2e-9])
+def test_check_formation_matches_the_rect_reference_at_the_slack(nudge):
+    # robot 0 touches one side of the extent of 1 and 2, give or take nudge
+    a, b = Rect(0, 0, 1, 1), Rect(2, 0.5, 3, 2)
+    inner = (0.5, 0.5, 2.5, 1.5)
+    clauses = (Between(0, 1, 2), NotBetween(0, 1, 2))
+    for side, edge in enumerate((0, 0, 3, 2)):
+        z = list(inner)
+        z[side] = edge + (nudge if side >= 2 else -nudge)
+        poses = {0: Rect(*z), 1: a, 2: b}
+        for c in clauses:
+            formation = Formation("f", (c,))
+            assert check_formation(formation, poses) == ref_check_formation(
+                formation, poses
+            )
+    # robot 0 sits 1.25 from the centres of both 1 and 2; the bound is
+    # 1.25 give or take nudge
+    poses = {0: sq(0.75, 1.0, 0.25), 1: sq(0, 0, 0.25), 2: sq(1.5, 2.0, 0.25)}
+    formation = Formation("f", (MaxDist(1.25 + nudge, 0, Between(0, 1, 2)),))
+    assert check_formation(formation, poses) == ref_check_formation(formation, poses)
+
+
+@strat.composite
+def missions(draw):
+    """Half-cell worlds with 1-5 robots clear of the obstacles, a formation
+    with small distance bounds over them, and a step budget."""
+    bare = draw(half_cell_worlds())
+    b, cell = bare.bounds, bare.cell
+    nx, ny = round(b.width / cell), round(b.height / cell)
+    robots = []
+    for rid in draw(strat.lists(strat.integers(0, 9), min_size=1, max_size=5, unique=True)):
+        cx = b.x1 + (draw(strat.integers(0, nx - 1)) + 0.5) * cell
+        cy = b.y1 + (draw(strat.integers(0, ny - 1)) + 0.5) * cell
+        # some robots start off their cell's centre and get snapped to it
+        cx += draw(strat.sampled_from((0.0, 0.25))) * cell
+        hx, hy = (draw(strat.sampled_from((0.1, 0.2, 0.25, 0.4))) * cell for _ in "xy")
+        r = Rect(cx - hx, cy - hy, cx + hx, cy + hy)
+        if b.contains(r) and not any(overlap_area(r, o) > 0 for o in bare.obstacles):
+            robots.append((rid, r))
+    hypothesis.assume(robots)
+    world = World(b, bare.obstacles, bare.goal, cell, tuple(sorted(robots)))
+    deltas = tuple(k * cell for k in (0.25, 0.5, 1.0, 2.0))
+    formation = draw(formations([rid for rid, _ in robots], deltas))
+    return world, formation, draw(strat.integers(0, 40))
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(missions())
+def test_navigate_matches_the_rect_reference(mission):
+    assert trajectory(navigate, *mission) == trajectory(ref_navigate, *mission)
+
+
+def shelf_warehouse(jitter):
+    """A 40 x 20 arena of 12 full-height shelf walls, one gap each, with the
+    cross formation's five robots at the west end; gaps alternate between a
+    low and a high band and move by ``jitter[k]`` cells."""
+    lines = ["bounds 0 0 40 20", "cell 0.25"]
+    for k, shift in enumerate(jitter):
+        x = 3 + 3 * k
+        bottom = (7.0 if k % 2 == 0 else 11.0) + shift * 0.25
+        lines += [f"obstacle {x} 0 {x + 0.5} {bottom}", f"obstacle {x} {bottom + 2} {x + 0.5} 20"]
+    lines.append("goal 38 9 39.5 11")
+    for rid, (dx, dy) in enumerate(((0, 0), (-0.25, 0), (0.25, 0), (0, 0.25), (0, -0.25))):
+        x, y = 1.375 + dx, 9.875 + dy
+        lines.append(f"robot {rid} {x - 0.1:.3f} {y - 0.1:.3f} {x + 0.1:.3f} {y + 0.1:.3f}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "jitter", [(0,) * 12, (1, -1, 0, 1, -1, 0, 1, -1, 0, 1, -1, 0), (-1,) * 12]
+)
+def test_navigate_matches_the_rect_reference_in_a_shelf_warehouse(tmp_path, jitter):
+    path = tmp_path / "w.txt"
+    path.write_text(shelf_warehouse(jitter), encoding="utf-8")
+    world = load_world(path)
+    formation = parse_formation(Path("data/cross.frm").read_text(encoding="utf-8"))
+    log = navigate(world, formation)
+    assert log.status == "goal_reached"
+    assert (log.status, log.steps) == trajectory(ref_navigate, world, formation)
+
+
+# the cross, but each max-dist bounds a follower its between clause does
+# not name, so those followers must weigh clauses they appear in only once
+OUTER_CROSS = (
+    "(outer (set"
+    " (max-dist 0.4 roomba 3 (between roomba 0 roomba 1 roomba 2))"
+    " (max-dist 0.4 roomba 4 (between roomba 0 roomba 1 roomba 2))"
+    " (not-between roomba 3 roomba 1 roomba 2)"
+    " (not-between roomba 4 roomba 1 roomba 2)))"
+)
+
+
+@pytest.mark.parametrize(
+    "script", [Path("data/cross.frm").read_text(encoding="utf-8"), OUTER_CROSS]
+)
+def test_navigate_matches_the_rect_reference_on_the_shipped_scene(script):
+    world = load_world("data/corridor_world.txt")
+    formation = parse_formation(script)
+    for steps in (1000, 7, 2, 0):
+        assert trajectory(navigate, world, formation, steps) == trajectory(
+            ref_navigate, world, formation, steps
+        )
+
+
+def test_boxed_in_follower_fails_as_in_the_reference():
+    # leader 0 inflates the two walls around robot 1 by 1, blocking columns 4-6
+    world = World(
+        Rect(0, 0, 10, 10),
+        (Rect(4.8, 0, 5, 10), Rect(6, 0, 6.2, 10)),
+        Rect(1, 7, 3, 9),
+        1.0,
+        ((0, Rect(1, 1, 3, 3)), (1, sq(5.5, 5.5, 0.1)), (2, sq(1.5, 4.5, 0.1))),
+    )
+    formation = Formation("f", (Between(0, 1, 2),))
+    expected = (MereomlError, "robot 1 is boxed in: its cell and all eight neighbours are blocked")
+    assert trajectory(ref_navigate, world, formation) == expected
+    assert trajectory(navigate, world, formation) == expected
 
 
 # --- trajectory exports ----------------------------------------------------
