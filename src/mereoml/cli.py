@@ -57,14 +57,21 @@ def _parse_radius(text: str) -> Fraction:
 def _load_table(args):
     system = load_csv(args.csv, decision=args.decision, na_token=args.na_token)
     if args.discretize:
+        columns, counts = [], []
         for spec in args.discretize.split(","):
             col, _, bins = spec.partition(":")
             if not bins:
                 raise MereomlError(f"bad discretize entry {spec!r}; use col:bins")
             try:
-                system = discretize(system, [col], int(bins))
+                count = int(bins)
             except ValueError:
-                raise MereomlError(f"bad bin count in {spec!r}") from None
+                count = 0
+            if count < 1:
+                raise MereomlError(f"bad bin count in {spec!r}")
+            columns.append(col)
+            counts.append(count)
+        # one call bins every entry in turn
+        system = discretize(system, columns, counts)
     return system
 
 

@@ -296,78 +296,97 @@ def load_csv(
             if name in seen:
                 raise DuplicateFeature(f"{path}: duplicate header {name!r} at column {col}")
             seen.add(name)
-        rows = []
+        width = len(header)
+        # the decision column is split off row by row, but a missing one is
+        # reported only once every row has been checked
+        d = header.index(decision) if decision in header else None
+        rows, decisions = [], []
         for lineno, raw in enumerate(reader, start=2):
-            if len(raw) != len(header):
+            if len(raw) != width:
                 raise RaggedRow(
-                    f"{path}: row at line {lineno} has {len(raw)} cells, expected {len(header)}"
+                    f"{path}: row at line {lineno} has {len(raw)} cells, expected {width}"
                 )
-            cells = []
-            for col, cell in enumerate(raw):
-                cell = cell.strip()
-                if na_token is not None and cell == na_token:
-                    cell = NA_VALUE
-                if cell == "":
-                    raise MissingValue(
-                        f"{path}: missing value at line {lineno}, column {header[col]!r}"
-                    )
-                cells.append(cell)
+            cells = [cell.strip() for cell in raw]
+            if na_token is not None and na_token in cells:
+                cells = [NA_VALUE if cell == na_token else cell for cell in cells]
+            if "" in cells:
+                raise MissingValue(
+                    f"{path}: missing value at line {lineno}, "
+                    f"column {header[cells.index('')]!r}"
+                )
+            if d is not None:
+                decisions.append(cells[d])
+                del cells[d]
             rows.append(tuple(cells))
 
     if decision is None:
         return InformationSystem(tuple(header), tuple(rows))
-    if decision not in header:
+    if d is None:
         raise MissingDecisionColumn(f"{path}: no column named {decision!r}")
-    d = header.index(decision)
-    features = tuple(h for i, h in enumerate(header) if i != d)
-    body = tuple(tuple(c for i, c in enumerate(row) if i != d) for row in rows)
-    decisions = tuple(row[d] for row in rows)
-    return DecisionSystem(InformationSystem(features, body), decision, decisions)
+    features = tuple(header[:d] + header[d + 1 :])
+    return DecisionSystem(InformationSystem(features, tuple(rows)), decision, tuple(decisions))
 
 
 def _bin_labels(values: Sequence[str], bins: int, feature: str) -> list[str]:
-    numeric = []
-    for i, token in enumerate(values):
-        try:
-            numeric.append(float(token))
-        except ValueError:
-            raise IngestionError(
-                f"non-numeric cell {token!r} at row {i}, column {feature!r}"
-            ) from None
+    try:
+        numeric = list(map(float, values))
+    except ValueError:
+        numeric = None
+    if numeric is None or any(map(math.isnan, numeric)):
+        # name the first cell that is no number; NaN would scramble the order
+        for i, token in enumerate(values):
+            try:
+                bad = math.isnan(float(token))
+            except ValueError:
+                bad = True
+            if bad:
+                raise IngestionError(
+                    f"non-numeric cell {token!r} at row {i}, column {feature!r}"
+                )
     n = len(numeric)
-    order = sorted(range(n), key=lambda i: numeric[i])
-    # rank of the first occurrence of each value; equal values share it, which
-    # sends boundary ties to the lower bin
-    first_rank: dict[float, int] = {}
-    for rank, i in enumerate(order):
-        first_rank.setdefault(numeric[i], rank)
-    return [f"B{first_rank[v] * bins // n}" for v in numeric]
+    ranked = sorted(numeric)
+    # bin of each value's first rank: equal values share it, which sends
+    # boundary ties to the lower bin; filled backwards, so the first rank wins
+    bin_of = dict(zip(reversed(ranked), (r * bins // n for r in range(n - 1, -1, -1))))
+    labels = {k: f"B{k}" for k in set(bin_of.values())}
+    return [labels[bin_of[v]] for v in numeric]
 
 
 def discretize(
     system: InformationSystem | DecisionSystem,
     columns: Iterable[str],
-    bins: int,
+    bins: int | Sequence[int],
 ) -> InformationSystem | DecisionSystem:
     """Replace numeric columns by equal-frequency bin labels ``B0..B{bins-1}``.
 
     Columns not named are untouched.  Ties sit in the lower bin, so equal
-    values always land in the same bin.
+    values always land in the same bin.  ``bins`` is one count for every
+    named column, and a column named twice is then binned once; or it is one
+    count per entry of ``columns``, and the entries apply in turn, so a
+    column named again is binned from its labels and fails as non-numeric.
+    Every count and every name is checked before any column is binned.
     """
-    if bins < 1:
-        raise ParameterError(f"bins must be >= 1, got {bins}")
+    columns = list(columns)
+    counts = list(bins) if isinstance(bins, Sequence) else [bins]
+    for count in counts:
+        if count < 1:
+            raise ParameterError(f"bins must be >= 1, got {count}")
+    if not isinstance(bins, Sequence):
+        columns = list(dict.fromkeys(columns))
+        counts *= len(columns)
+    elif len(counts) != len(columns):
+        raise ParameterError(f"{len(counts)} bin counts for {len(columns)} columns")
     if isinstance(system, DecisionSystem):
         return DecisionSystem(
-            discretize(system.system, columns, bins), system.decision, system.decisions
+            discretize(system.system, columns, counts), system.decision, system.decisions
         )
-    # every name is checked before any column is binned
-    named = {system.feature_index(name): name for name in columns}
+    named = [system.feature_index(name) for name in columns]
     if not named or not system.rows:
         # nothing to bin; transposing no rows would also lose the columns
         return system
     cols = list(zip(*system.rows))
-    for j, name in named.items():
-        cols[j] = _bin_labels(cols[j], bins, name)
+    for j, name, count in zip(named, columns, counts):
+        cols[j] = _bin_labels(cols[j], count, name)
     return InformationSystem(system.features, tuple(zip(*cols)))
 
 

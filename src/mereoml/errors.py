@@ -40,11 +40,12 @@ class ParameterError(MereomlError, ValueError):
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of a file, line endings untranslated.
 
-    A file that is not UTF-8 raises a :class:`MereomlError` naming it.
+    One leading byte-order mark, as spreadsheets write it, is dropped.  A
+    file that is not UTF-8 raises a :class:`MereomlError` naming it.
     """
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise MereomlError(
             f"{path}: not UTF-8 text (byte {data[e.start]:#04x} at offset {e.start})"

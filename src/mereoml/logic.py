@@ -18,12 +18,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import AbstractSet, Iterable, Union
 
 import numpy as np
 
 from .dataset import DecisionSystem, InformationSystem
 from .errors import MereomlError
+from .granulation import MemberView
 
 
 class ParseError(MereomlError):
@@ -244,13 +247,16 @@ def satisfies(obj: int, formula: Formula, system) -> bool:
     return not satisfies(obj, formula.left, system) or satisfies(obj, formula.right, system)
 
 
-def meaning(formula: Formula, system) -> frozenset[int]:
+def meaning(formula: Formula, system) -> MemberView:
     """The set of objects classically satisfying the formula.
 
     Evaluated as one boolean mask over the table's encoded columns; it agrees
-    with :func:`satisfies` object by object.
+    with :func:`satisfies` object by object.  The set is a
+    :class:`MemberView` of the mask's bitset, which equals and hashes like
+    the frozenset of its members.
     """
-    return frozenset(np.flatnonzero(_mask(formula, system)).tolist())
+    packed = np.packbits(_mask(formula, system), bitorder="little")
+    return MemberView(int.from_bytes(packed.tobytes(), "little"))
 
 
 def _mask(formula: Formula, system) -> np.ndarray:
@@ -276,21 +282,30 @@ class NuMode(enum.Enum):
     NUL = "nul"
 
 
-def nu(mode: NuMode, x: frozenset[int], y: frozenset[int]) -> Fraction:
+def nu(mode: NuMode, x: AbstractSet[int], y: AbstractSet[int]) -> Fraction:
     """Containment degree of x in y: three-valued or proportional.
 
     The proportional mode returns |x intersect y| / |x|, with the empty x
-    vacuously contained (degree 1).
+    vacuously contained (degree 1).  Both modes need only those two counts;
+    when both sets are bitset views, they are popcounts of their bits.
     """
+    if isinstance(x, MemberView) and isinstance(y, MemberView):
+        inside, size = (x.bits & y.bits).bit_count(), x.bits.bit_count()
+    else:
+        inside, size = len(x & y), len(x)
     if mode is NuMode.NU3:
-        if x <= y:
+        # x lies inside y exactly when y holds all of its members
+        if inside == size:
             return Fraction(1)
-        if not x & y:
-            return Fraction(0)
-        return Fraction(1, 2)
-    if not x:
-        return Fraction(1)
-    return Fraction(len(x & y), len(x))
+        return Fraction(1, 2) if inside else Fraction(0)
+    return Fraction(inside, size) if size else Fraction(1)
+
+
+def _within(g: AbstractSet[int], m: MemberView) -> bool:
+    """Whether the granule g lies inside the meaning m."""
+    if isinstance(g, MemberView):
+        return g.bits & ~m.bits == 0
+    return frozenset(g) <= m
 
 
 def extension(
@@ -300,7 +315,9 @@ def extension(
     mode: NuMode = NuMode.NUL,
 ) -> Fraction:
     """Degree to which the formula's meaning covers the granule."""
-    return nu(mode, frozenset(g), meaning(formula, system))
+    if not isinstance(g, MemberView):
+        g = frozenset(g)
+    return nu(mode, g, meaning(formula, system))
 
 
 def is_true_at(g: AbstractSet[int], formula: Formula, system) -> bool:
@@ -309,7 +326,7 @@ def is_true_at(g: AbstractSet[int], formula: Formula, system) -> bool:
     For a rule a -> b this is equivalent to (g intersect [a]) being inside
     [b], since the meaning of the rule is the material implication set.
     """
-    return frozenset(g) <= meaning(formula, system)
+    return _within(g, meaning(formula, system))
 
 
 @dataclass(frozen=True)
@@ -328,7 +345,12 @@ class GranuleSet:
 
 def is_valid(granules: GranuleSet | Iterable[AbstractSet[int]], formula: Formula, system) -> bool:
     """Validity: truth at the union of all granules."""
-    return frozenset().union(*granules) <= meaning(formula, system)
+    granules = tuple(granules)
+    if all(isinstance(g, MemberView) for g in granules):
+        union = MemberView(reduce(or_, (g.bits for g in granules), 0))
+    else:
+        union = frozenset().union(*granules)
+    return _within(union, meaning(formula, system))
 
 
 def graded_truth(

@@ -1,5 +1,7 @@
 """The mereoml command line: exit codes, JSON shape, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,11 +10,16 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 import mereoml
+from mereoml import cli, discretize, load_csv
 from mereoml.cli import main
+from mereoml.errors import MereomlError
 
 SCHEMAS = json.loads(
     resources.files("mereoml").joinpath("schemas/cli_output.json").read_text()
@@ -172,6 +179,92 @@ def test_load_discretize_keeps_a_header_only_table(capsys, tmp_path):
     path.write_text("a,b,d\n", encoding="utf-8")
     payload = run_json(capsys, "load", str(path), "--discretize", "a:2")
     assert payload == {"objects": 0, "features": 3}
+
+
+def test_load_discretize_rejects_a_nan_cell(capsys, tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("a,d\n3,x\nnan,y\n1,x\n2,y\n0.5,x\n", encoding="utf-8")
+    code, out, err = run(capsys, "load", str(path), "--decision", "d", "--discretize", "a:2")
+    assert code == 2 and out == ""
+    assert err == "mereoml: non-numeric cell 'nan' at row 1, column 'a'\n"
+    path.write_text("a,d\ninf,x\n-inf,y\n1,x\n", encoding="utf-8")
+    assert run_json(capsys, "load", str(path), "--decision", "d", "--discretize", "a:2")
+
+
+def test_load_ignores_a_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffa,b\n1,x\n2,y\n".encode("utf-8"))
+    payload = run_json(capsys, "load", str(path), "--decision", "a")
+    assert payload == {"objects": 2, "features": 1, "decision": "a", "decision_values": 2}
+
+
+def ref_load_table(args):
+    """The per-entry loop: one ``discretize`` call for each ``--discretize`` entry."""
+    system = load_csv(args.csv, decision=args.decision, na_token=args.na_token)
+    if args.discretize:
+        for spec in args.discretize.split(","):
+            col, _, bins = spec.partition(":")
+            if not bins:
+                raise MereomlError(f"bad discretize entry {spec!r}; use col:bins")
+            try:
+                system = discretize(system, [col], int(bins))
+            except ValueError:
+                raise MereomlError(f"bad bin count in {spec!r}") from None
+    return system
+
+
+@pytest.fixture(scope="module")
+def numeric_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("numeric") / "num.csv"
+    path.write_text(
+        "n1,n2,c,d\n3,0.5,x,y\n1,-2,y,n\n2,0.5,x,y\n1,7,y,n\n", encoding="utf-8"
+    )
+    return str(path)
+
+
+def load_outcome(argv, load_table=None):
+    """(exit code, stdout, stderr) of ``main``, optionally with another loader."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if load_table is not None:
+            stack.enter_context(mock.patch.object(cli, "_load_table", load_table))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+#: good entries, a missing count, bad counts, an unknown name, a
+#: non-numeric column and the decision column; drawn with repeats
+DISCRETIZE_ENTRIES = (
+    "n1:2", "n2:3", "n1:1", "n2:5", "n1", "n1:x", "n1:0", "n2:-1", "zz:2", "c:2", "d:2",
+)
+
+
+@hypothesis.given(
+    strat.lists(strat.sampled_from(DISCRETIZE_ENTRIES), min_size=1, max_size=4),
+    strat.sampled_from(([], ["--decision", "d"])),
+)
+def test_one_discretize_call_matches_the_per_entry_loop(numeric_csv, entries, decision):
+    def outcome(specs, load_table=None):
+        argv = ["load", numeric_csv, *decision, "--discretize", ",".join(specs)]
+        return load_outcome(argv, load_table)
+
+    # an entry is a fault if the loop fails on it after the good ones before it;
+    # a repeated column fails there too, as its labels are no numbers
+    good, faults = [], []
+    for entry in entries:
+        result = outcome(good + [entry], ref_load_table)
+        if result[0] == 0:
+            good.append(entry)
+        else:
+            faults.append(result)
+    new = outcome(entries)
+    if len(faults) <= 1:
+        assert new == outcome(entries, ref_load_table)
+    else:
+        # several faults: one call may report another of them first
+        assert new in faults
 
 
 def test_load_missing_file(capsys, tmp_path):

@@ -1,6 +1,10 @@
 """Table ingestion, discretization and the discernibility primitives."""
 
+import csv
+import io
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -13,6 +17,8 @@ from mereoml import (
     InformationSystem,
     MissingDecisionColumn,
     MissingValue,
+    MereomlError,
+    ParameterError,
     RaggedRow,
     UnknownFeature,
     UnknownObject,
@@ -22,7 +28,8 @@ from mereoml import (
     load_csv,
     row_dis_count,
 )
-from mereoml.dataset import _bin_labels
+from mereoml.dataset import NA_VALUE
+from mereoml.errors import read_text
 from strategies import tables
 
 
@@ -178,6 +185,26 @@ def test_discretize_errors():
         discretize(table, ["nope"], 2)
 
 
+def _bin_labels(values, bins, feature):
+    """The reference binning: one float per cell, then a first-rank dict."""
+    numeric = []
+    for i, token in enumerate(values):
+        try:
+            numeric.append(float(token))
+        except ValueError:
+            raise IngestionError(
+                f"non-numeric cell {token!r} at row {i}, column {feature!r}"
+            ) from None
+    n = len(numeric)
+    order = sorted(range(n), key=lambda i: numeric[i])
+    # rank of the first occurrence of each value; equal values share it, which
+    # sends boundary ties to the lower bin
+    first_rank: dict[float, int] = {}
+    for rank, i in enumerate(order):
+        first_rank.setdefault(numeric[i], rank)
+    return [f"B{first_rank[v] * bins // n}" for v in numeric]
+
+
 def ref_discretize(system, columns, bins):
     """The cell-by-cell row rebuild that ``discretize`` replaces."""
     for name in columns:
@@ -213,6 +240,183 @@ def test_discretize_matches_the_row_rebuild(table, data):
     assert outcome(discretize, table, columns, bins) == outcome(
         ref_discretize, table, columns, bins
     )
+
+
+def test_discretize_rejects_a_nan_cell_like_a_non_numeric_one():
+    table = InformationSystem(("a",), tuple((t,) for t in ("3", "nan", "1", "2", "0.5")))
+    with pytest.raises(IngestionError) as e:
+        discretize(table, ["a"], 2)
+    assert str(e.value) == "non-numeric cell 'nan' at row 1, column 'a'"
+    for token in ("NaN", "-nan", "+NAN"):
+        with pytest.raises(IngestionError) as e:
+            discretize(InformationSystem(("a",), ((token,), ("1",))), ["a"], 2)
+        assert str(e.value) == f"non-numeric cell {token!r} at row 0, column 'a'"
+    # the first bad cell is named, whether it is NaN or no number at all
+    mixed = InformationSystem(("a",), (("1",), ("x",), ("nan",)))
+    with pytest.raises(IngestionError, match="cell 'x' at row 1"):
+        discretize(mixed, ["a"], 2)
+
+
+def test_discretize_orders_infinities():
+    table = InformationSystem(("a",), tuple((t,) for t in ("inf", "-inf", "0", "1")))
+    assert discretize(table, ["a"], 2).column("a") == ("B1", "B0", "B0", "B1")
+    assert discretize(table, ["a"], 4).column("a") == ("B3", "B0", "B1", "B2")
+
+
+def test_discretize_with_a_count_per_entry():
+    table = InformationSystem(
+        ("a", "b", "c"), tuple((str(i), str(-i), "x") for i in range(6))
+    )
+    out = discretize(table, ["a", "b"], [2, 3])
+    assert out.column("a") == ("B0",) * 3 + ("B1",) * 3
+    assert out.column("b") == ("B2", "B2", "B1", "B1", "B0", "B0")
+    assert out.column("c") == ("x",) * 6
+    assert discretize(table, ["b", "a"], (3, 2)) == out
+    # entries apply in turn: a column named again is binned from its labels
+    with pytest.raises(IngestionError) as e:
+        discretize(table, ["a", "a"], [2, 2])
+    assert str(e.value) == "non-numeric cell 'B0' at row 0, column 'a'"
+    # with one count for all, a column named twice is binned once
+    assert discretize(table, ["a", "a"], 2).column("a") == out.column("a")
+    with pytest.raises(ParameterError, match="got 0"):
+        discretize(table, ["a", "nope"], [2, 0])
+    with pytest.raises(ParameterError, match="got 0"):
+        discretize(table, [], 0)
+    with pytest.raises(ParameterError):
+        discretize(table, ["a", "b"], [2])
+    with pytest.raises(UnknownFeature):
+        discretize(table, ["a", "nope"], [2, 2])
+
+
+def test_discretize_with_more_bins_than_rows():
+    table = InformationSystem(("a",), (("5",), ("1",), ("3",)))
+    assert discretize(table, ["a"], 7).column("a") == ("B4", "B0", "B2")
+    assert discretize(table, ["a"], 10**12).column("a") == (
+        "B666666666666", "B0", "B333333333333"
+    )
+
+
+# --- one-pass CSV ingestion --------------------------------------------------
+
+
+def ref_load_csv(path, decision=None, na_token=None):
+    """The cell-by-cell loader, kept as the reference for ``load_csv``."""
+    path = Path(path)
+    with io.StringIO(read_text(path), newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestionError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        seen = set()
+        for col, name in enumerate(header):
+            if name in seen:
+                raise DuplicateFeature(f"{path}: duplicate header {name!r} at column {col}")
+            seen.add(name)
+        rows = []
+        for lineno, raw in enumerate(reader, start=2):
+            if len(raw) != len(header):
+                raise RaggedRow(
+                    f"{path}: row at line {lineno} has {len(raw)} cells, expected {len(header)}"
+                )
+            cells = []
+            for col, cell in enumerate(raw):
+                cell = cell.strip()
+                if na_token is not None and cell == na_token:
+                    cell = NA_VALUE
+                if cell == "":
+                    raise MissingValue(
+                        f"{path}: missing value at line {lineno}, column {header[col]!r}"
+                    )
+                cells.append(cell)
+            rows.append(tuple(cells))
+
+    if decision is None:
+        return InformationSystem(tuple(header), tuple(rows))
+    if decision not in header:
+        raise MissingDecisionColumn(f"{path}: no column named {decision!r}")
+    d = header.index(decision)
+    features = tuple(h for i, h in enumerate(header) if i != d)
+    body = tuple(tuple(c for i, c in enumerate(row) if i != d) for row in rows)
+    decisions = tuple(row[d] for row in rows)
+    return DecisionSystem(InformationSystem(features, body), decision, decisions)
+
+
+#: header names, padded ones included, and cell texts: quoted cells with
+#: commas, padded cells, NA tokens, empty and blank cells
+HEADERS = ("a", "b", "c", " d ", "e")
+CELLS = ("1", " 2 ", "x", '"p,q"', '" r,s "', "?", "NA", "", " ", '""', "-0.5")
+
+
+@strat.composite
+def csv_texts(draw):
+    width = draw(strat.integers(1, 5))
+    header = draw(strat.permutations(HEADERS))[:width]
+    if draw(strat.integers(0, 5)) == 0:
+        # a duplicate name, the same as another once stripped
+        header.insert(draw(strat.integers(0, width)), " a")
+        width += 1
+    lines = [",".join(header)]
+    for _ in range(draw(strat.integers(0, 5))):
+        # now and then a row one cell short or long
+        cells = width + draw(strat.sampled_from((0, 0, 0, 0, 0, -1, 1)))
+        lines.append(",".join(draw(strat.sampled_from(CELLS)) for _ in range(max(cells, 1))))
+    newline = draw(strat.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + newline * draw(strat.integers(0, 1))
+
+
+def table_or_error(fn, path, decision, na_token):
+    try:
+        table = fn(path, decision=decision, na_token=na_token)
+    except MereomlError as e:
+        return type(e), str(e)
+    if isinstance(table, DecisionSystem):
+        return table.features, table.system.rows, table.decision, table.decisions
+    return table.features, table.rows
+
+
+@hypothesis.given(
+    csv_texts(),
+    strat.sampled_from((None, "a", "b", "c", "d", "e", "z")),
+    strat.sampled_from((None, "?", "", "x", " x ")),
+)
+def test_load_csv_matches_the_cell_by_cell_loader(text, decision, na_token):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert table_or_error(load_csv, path, decision, na_token) == table_or_error(
+            ref_load_csv, path, decision, na_token
+        )
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_load_csv_splits_the_decision_from_any_position(tmp_path, position):
+    header = ["a", "b", "c"]
+    header.insert(position, "d")
+    rows = [[f"{h}{i}" for h in header] for i in range(3)]
+    path = write(tmp_path, "\n".join(",".join(r) for r in [header] + rows) + "\n")
+    table = load_csv(path, decision="d")
+    assert table.features == ("a", "b", "c")
+    assert table.decisions == ("d0", "d1", "d2")
+    assert table.system.rows == tuple((f"a{i}", f"b{i}", f"c{i}") for i in range(3))
+
+
+def test_load_csv_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffa,b\n1,x\n".encode("utf-8"))
+    table = load_csv(path, decision="a")
+    assert table.features == ("b",) and table.decisions == ("1",)
+    assert load_csv(path).features == ("a", "b")
+
+
+def test_read_text_drops_one_byte_order_mark_and_counts_offsets_from_the_file_start(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("\ufeff\ufeffa".encode("utf-8"))
+    assert read_text(path) == "\ufeffa"
+    path.write_bytes("\ufeffa".encode("utf-8") + b"\xff")
+    with pytest.raises(MereomlError, match="byte 0xff at offset 4"):
+        read_text(path)
 
 
 def test_dis_example():

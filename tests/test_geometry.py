@@ -314,6 +314,16 @@ def test_load_world_errors(tmp_path, text, fragment):
         load_world(path)
 
 
+def test_load_world_ignores_a_byte_order_mark(tmp_path):
+    text = "bounds 0 0 4 4\ncell 1\ngoal 3 3 4 4\nrobot 1 0.2 0.2 0.8 0.8\n"
+    plain, marked = tmp_path / "w.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    # the mark sits right before the first keyword, not in a comment
+    marked.write_bytes("\ufeff".encode("utf-8") + text.encode("utf-8"))
+    assert load_world(marked) == load_world(plain)
+    assert load_world(marked).bounds == Rect(0, 0, 4, 4)
+
+
 def test_load_world_sorts_robots(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text(

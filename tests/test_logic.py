@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as strat
+import numpy as np
 import pytest
 
 from mereoml import (
@@ -34,6 +35,8 @@ from mereoml import (
     rule_audit,
     satisfies,
 )
+from mereoml.granulation import MemberView, member_bits
+from mereoml.logic import _mask
 from strategies import atoms_for, decision_tables, formulas_for, granules_for, tables
 
 TABLE = InformationSystem(
@@ -261,6 +264,95 @@ def test_is_valid_means_true_everywhere(table, data):
     assert is_valid(GranuleSet(tuple(gs)), f, table) == all(
         is_true_at(g, f, table) for g in gs
     )
+
+
+# --- granule degrees against the set-based reference ------------------------
+
+
+def ref_meaning(formula, system):
+    return frozenset(np.flatnonzero(_mask(formula, system)).tolist())
+
+
+def ref_nu(mode, x, y):
+    if mode is NuMode.NU3:
+        if x <= y:
+            return Fraction(1)
+        if not x & y:
+            return Fraction(0)
+        return Fraction(1, 2)
+    if not x:
+        return Fraction(1)
+    return Fraction(len(x & y), len(x))
+
+
+def ref_extension(g, formula, system, mode=NuMode.NUL):
+    return ref_nu(mode, frozenset(g), ref_meaning(formula, system))
+
+
+def ref_is_true_at(g, formula, system):
+    return frozenset(g) <= ref_meaning(formula, system)
+
+
+def ref_is_valid(granules, formula, system):
+    return frozenset().union(*granules) <= ref_meaning(formula, system)
+
+
+def test_meaning_is_a_bitset_view_equal_to_its_frozenset():
+    m = meaning(Atom("p", "1"), TABLE)
+    assert isinstance(m, MemberView) and m.bits == 0b11
+    assert m == frozenset({0, 1}) and hash(m) == hash(frozenset({0, 1}))
+    assert meaning(Atom("p", "9"), InformationSystem(("p",), ())) == frozenset()
+
+
+def granule_forms(system):
+    """Granules as bitset views, as frozensets, and with foreign members.
+
+    Foreign members lie outside the table (at or past its row count) or are
+    negative; a view can carry the first kind only.
+    """
+    n = len(system.objects)
+    inside = granules_for(system, allow_empty=True)
+    past = strat.sets(strat.sampled_from((n, n + 3)), min_size=1)
+    negative = strat.sets(strat.sampled_from((-1, -7)), min_size=1)
+
+    def joined(*parts):
+        return strat.tuples(*parts).map(lambda sets: frozenset().union(*sets))
+
+    def as_view(sets):
+        return sets.map(lambda g: MemberView(member_bits(g)))
+
+    return strat.one_of(
+        inside,
+        as_view(inside),
+        joined(inside, past),
+        joined(inside, negative),
+        joined(inside, past, negative),
+        as_view(joined(inside, past)),
+    )
+
+
+@hypothesis.given(decision_tables(min_objects=1, max_objects=8), strat.data())
+def test_granule_degrees_match_the_set_based_reference(system, data):
+    f = data.draw(formulas_for(system))
+    g = data.draw(granule_forms(system))
+    m = meaning(f, system)
+    for mode in NuMode:
+        assert extension(g, f, system, mode) == ref_extension(g, f, system, mode)
+        assert nu(mode, g, m) == ref_nu(mode, frozenset(g), ref_meaning(f, system))
+    assert is_true_at(g, f, system) == ref_is_true_at(g, f, system)
+    family = [data.draw(granule_forms(system)) for _ in range(data.draw(strat.integers(0, 3)))]
+    assert is_valid(family, f, system) == ref_is_valid(family, f, system)
+    assert is_valid(iter(family), f, system) == ref_is_valid(family, f, system)
+
+
+@hypothesis.given(tables(max_objects=8), strat.data())
+def test_nu_on_two_views_matches_the_set_based_reference(table, data):
+    x = data.draw(granules_for(table, allow_empty=True))
+    y = data.draw(granules_for(table, allow_empty=True))
+    for mode in NuMode:
+        assert nu(mode, MemberView(member_bits(x)), MemberView(member_bits(y))) == ref_nu(
+            mode, x, y
+        )
 
 
 # --- the collapsed reading -------------------------------------------------
