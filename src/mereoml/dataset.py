@@ -101,15 +101,50 @@ class EncodedTable:
         return codes
 
 
+#: Bytes of the rows that ``dis_count_matrix`` gathers per row block.  At
+#: 1250 and 2000 rows, 512 KiB to 1 MiB ran fastest; 1 MiB broke the bound of
+#: 4 bytes a pair on 600 rows.
+COUNT_BLOCK_BYTES = 768 * 1024
+
+#: Codes a column may hold for ``dis_count_matrix`` to read it from its table
+#: of differing codes, which gives every such column as many rows as the
+#: widest.  At 1250 rows and 14 columns, one column of 48 to 56 codes costs
+#: about as much either way; a wider one is cheaper to compare directly.
+WIDE_COLUMN = 48
+
+
 def dis_count_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise count of differing columns between the code rows of a and b.
 
-    Accumulates one column at a time into the int16 result, so memory stays
-    O(len(a) * len(b)) however many columns there are.
+    The counts are the one-hot product O_a·D_bᵀ over a flat vocabulary,
+    where a cell's bit is its code plus its column's offset and D_b marks
+    the codes each row of b does not hold.  A row of O_a has one bit per
+    column, so row i of the product is the sum of the rows of D_bᵀ that
+    a's codes pick: integers, added in the narrowest unsigned dtype that
+    holds the column count.  Rows of a are summed in blocks whose picked
+    rows take ``COUNT_BLOCK_BYTES``.  A column with more than
+    ``WIDE_COLUMN`` codes is compared directly.  A code of -1, which only
+    a's rows hold (a token the vocabulary lacks), differs from every code.
     """
-    out = np.zeros((len(a), len(b)), dtype=np.int16)
-    for col_a, col_b in zip(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)):
-        out += col_a[:, None] != col_b[None, :]
+    out = np.empty((len(a), len(b)), dtype=np.min_scalar_type(a.shape[1]))
+    top = np.maximum.reduce(np.vstack((a, b)), axis=0, initial=-1)
+    narrow = top < WIDE_COLUMN
+    wide = [] if narrow.all() else list(zip(a.T[~narrow], b.T[~narrow]))
+    # narrow column j's code t picks row j * stride + t.  No row of b holds
+    # the code stride - 1, so each column's last row is all ones, and a code
+    # of -1 picks the last row of the column before (for column 0, of the
+    # last column).
+    stride = int(np.maximum.reduce(top[narrow], initial=-1)) + 2
+    differs = (b.T[narrow, None, :] != np.arange(stride)[:, None]).view(np.uint8)
+    differs = differs.reshape(len(differs) * stride, len(b))
+    codes = a.T[narrow]
+    picks = codes + stride * np.arange(len(codes))[:, None]
+    rows = max(1, COUNT_BLOCK_BYTES // max(1, len(codes) * len(b)))
+    for start in range(0, len(a), rows):
+        block = out[start : start + rows]
+        np.add.reduce(differs[picks[:, start : start + rows]], axis=0, dtype=out.dtype, out=block)
+        for col_a, col_b in wide:
+            block += (col_a[start : start + rows, None] != col_b).view(np.uint8)
     return out
 
 

@@ -421,6 +421,8 @@ def classify_many(
     """
     if not test_rows:
         return []
+    if not reflection.rows:
+        raise MereomlError("the mirror has no rows to classify against")
     m = len(reflection.features)
     for row in test_rows:
         if len(row) != m:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -233,16 +234,13 @@ class ArchimedeanInclusion(RoughInclusion):
         return rs_star_archimedean(a, b)
 
 
-@dataclass(frozen=True)
-class LukasiewiczInclusion(RoughInclusion):
-    """Object containment on a discrete table: agreeing-feature fraction.
+class _TableInclusion(RoughInclusion):
+    """Object containment on a discrete table, read from its count matrix.
 
-    Degrees are exact rationals with denominator |F|.  The pairwise count of
-    differing features is cached as a matrix, so neighborhoods over all
-    objects cost one integer comparison per pair.
+    ``dis_counts`` counts the differing conditional features of every pair
+    of objects, as one :func:`dis_count_matrix` product, on first use.
     """
 
-    system: InformationSystem | DecisionSystem
     symmetric = True
 
     @property
@@ -253,6 +251,18 @@ class LukasiewiczInclusion(RoughInclusion):
     def dis_counts(self) -> np.ndarray:
         codes = self._table.encoded.codes
         return dis_count_matrix(codes, codes)
+
+
+@dataclass(frozen=True)
+class LukasiewiczInclusion(_TableInclusion):
+    """Object containment on a discrete table: agreeing-feature fraction.
+
+    Degrees are exact rationals with denominator |F|.  The pairwise count of
+    differing features is cached as a matrix, so neighborhoods over all
+    objects cost one integer comparison per pair.
+    """
+
+    system: InformationSystem | DecisionSystem
 
     def degree(self, x: int, y: int) -> Fraction:
         m = len(self._table.features)
@@ -272,38 +282,48 @@ class LukasiewiczInclusion(RoughInclusion):
 
 
 @dataclass(frozen=True)
-class ExponentialInclusion(RoughInclusion):
-    """Object containment exp(-(weighted differing-feature sum)^2); symmetric."""
+class ExponentialInclusion(_TableInclusion):
+    """Object containment exp(-(weighted differing-feature sum)^2); symmetric.
+
+    Under the default uniform weights, the weight sum of k differing features
+    is ``_sums_by_count[k]``, so degrees and granules read ``dis_counts``.
+    Explicit weights sum per pair in ``dis_weight_sums``.
+    """
 
     system: InformationSystem | DecisionSystem
     weights: FeatureWeights | None = None
 
-    symmetric = True
+    @cached_property
+    def _sums_by_count(self) -> np.ndarray:
+        """The uniform weight added k times in feature order, for k = 0..|F|.
 
-    @property
-    def _table(self) -> InformationSystem:
-        return _conditional(self.system)
-
-    def _weights(self) -> FeatureWeights:
-        return self.weights or FeatureWeights.uniform(self._table.features)
+        Bit-equal to the sum that :func:`exp_row_degree` forms over k
+        differing features.
+        """
+        uniform = FeatureWeights.uniform(self._table.features).values
+        return np.array(list(accumulate(uniform, initial=0.0)))
 
     @cached_property
     def dis_weight_sums(self) -> np.ndarray:
         """Pairwise weight sum of the differing features, as float64.
 
-        Accumulates one column at a time in feature order, so memory stays
-        O(n^2) and each sum adds the same floats in the same order as
-        :func:`exp_row_degree`.
+        Explicit weights accumulate one column at a time in feature order,
+        so memory stays O(n^2) and each sum adds the same floats in the same
+        order as :func:`exp_row_degree`.
         """
+        if self.weights is None:
+            return self._sums_by_count[self.dis_counts]
         table = self._table
-        fw = self._weights()
         out = np.zeros((len(table.rows),) * 2)
         for col, f in zip(np.ascontiguousarray(table.encoded.codes.T), table.features):
-            out += (col[:, None] != col[None, :]) * fw(f)
+            out += (col[:, None] != col[None, :]) * self.weights(f)
         return out
 
     def degree(self, x: int, y: int) -> float:
-        s = float(self.dis_weight_sums[x, y])
+        if self.weights is None:
+            s = float(self._sums_by_count[self.dis_counts[x, y]])
+        else:
+            s = float(self.dis_weight_sums[x, y])
         return math.exp(-(s * s))
 
     @staticmethod
@@ -314,9 +334,22 @@ class ExponentialInclusion(RoughInclusion):
         # small slack absorbs fp noise
         return math.sqrt(-math.log(r)) + 1e-12
 
+    def _bounded(self, r: float) -> tuple[np.ndarray, float]:
+        """A matrix and a bound: degree(x, y) >= r iff ``matrix[x, y] <= bound``.
+
+        The sums grow with the count, so under uniform weights the bound is
+        the largest count whose sum stays within the limit.
+        """
+        limit = self._limit(r)
+        if self.weights is not None:
+            return self.dis_weight_sums, limit
+        return self.dis_counts, int(np.searchsorted(self._sums_by_count, limit, "right")) - 1
+
     def membership_mask(self, center: int, r: float) -> np.ndarray:
-        return self.dis_weight_sums[center] <= self._limit(r)
+        matrix, bound = self._bounded(r)
+        return matrix[center] <= bound
 
     def membership_matrix(self, r: float) -> np.ndarray:
         """Boolean matrix whose row c is ``membership_mask(c, r)``."""
-        return self.dis_weight_sums <= self._limit(r)
+        matrix, bound = self._bounded(r)
+        return matrix <= bound

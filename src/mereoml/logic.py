@@ -18,15 +18,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 from typing import AbstractSet, Iterable, Union
 
 import numpy as np
 
 from .dataset import DecisionSystem, InformationSystem
 from .errors import MereomlError
-from .granulation import MemberView
+from .granulation import MemberView, member_bits
 
 
 class ParseError(MereomlError):
@@ -282,17 +280,30 @@ class NuMode(enum.Enum):
     NUL = "nul"
 
 
+def _as_bits(members: AbstractSet) -> AbstractSet:
+    """The members as a bitset view if all are non-negative ints, else a frozenset."""
+    if isinstance(members, MemberView):
+        return members
+    if all(isinstance(x, int) and x >= 0 for x in members):
+        return MemberView(member_bits(members))
+    return frozenset(members)
+
+
+def _overlap(x: AbstractSet, y: AbstractSet) -> tuple[int, int]:
+    """|x intersect y| and |x|: popcounts when both sets are bitsets."""
+    x, y = _as_bits(x), _as_bits(y)
+    if isinstance(x, MemberView) and isinstance(y, MemberView):
+        return (x.bits & y.bits).bit_count(), len(x)
+    return len(x & y), len(x)
+
+
 def nu(mode: NuMode, x: AbstractSet[int], y: AbstractSet[int]) -> Fraction:
     """Containment degree of x in y: three-valued or proportional.
 
     The proportional mode returns |x intersect y| / |x|, with the empty x
-    vacuously contained (degree 1).  Both modes need only those two counts;
-    when both sets are bitset views, they are popcounts of their bits.
+    vacuously contained (degree 1).  Both modes need only those two counts.
     """
-    if isinstance(x, MemberView) and isinstance(y, MemberView):
-        inside, size = (x.bits & y.bits).bit_count(), x.bits.bit_count()
-    else:
-        inside, size = len(x & y), len(x)
+    inside, size = _overlap(x, y)
     if mode is NuMode.NU3:
         # x lies inside y exactly when y holds all of its members
         if inside == size:
@@ -303,9 +314,8 @@ def nu(mode: NuMode, x: AbstractSet[int], y: AbstractSet[int]) -> Fraction:
 
 def _within(g: AbstractSet[int], m: MemberView) -> bool:
     """Whether the granule g lies inside the meaning m."""
-    if isinstance(g, MemberView):
-        return g.bits & ~m.bits == 0
-    return frozenset(g) <= m
+    inside, size = _overlap(g, m)
+    return inside == size
 
 
 def extension(
@@ -315,8 +325,6 @@ def extension(
     mode: NuMode = NuMode.NUL,
 ) -> Fraction:
     """Degree to which the formula's meaning covers the granule."""
-    if not isinstance(g, MemberView):
-        g = frozenset(g)
     return nu(mode, g, meaning(formula, system))
 
 
@@ -344,13 +352,9 @@ class GranuleSet:
 
 
 def is_valid(granules: GranuleSet | Iterable[AbstractSet[int]], formula: Formula, system) -> bool:
-    """Validity: truth at the union of all granules."""
-    granules = tuple(granules)
-    if all(isinstance(g, MemberView) for g in granules):
-        union = MemberView(reduce(or_, (g.bits for g in granules), 0))
-    else:
-        union = frozenset().union(*granules)
-    return _within(union, meaning(formula, system))
+    """Validity: truth at the union of all granules, so at each of them."""
+    m = meaning(formula, system)
+    return all(_within(g, m) for g in granules)
 
 
 def graded_truth(
@@ -379,7 +383,7 @@ def collapse_value(g: AbstractSet[int], formula: Formula, system) -> Fraction:
     ``extension`` of each side, not for this fold: a true rule with a
     compound side can collapse below 1.
     """
-    g = frozenset(g)
+    g = _as_bits(g)
     if isinstance(formula, Atom):
         return nu(NuMode.NUL, g, meaning(formula, system))
     if isinstance(formula, Not):
@@ -426,7 +430,7 @@ def rule_audit(
     when both sides are literals: with a compound side ``collapse_rule``
     can fall below 1.
     """
-    g = frozenset(g)
+    g = _as_bits(g)
     rule = Implies(alpha, beta)
     return RuleAudit(
         true_at_g=is_true_at(g, rule, system),

@@ -800,3 +800,34 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, net_file):
             assert len(written) == (2 if argv[0] == "sim" else 0)
             outputs.append((proc.stdout, written))
         assert outputs[0] == outputs[1], argv
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the vote and the tie-break count with float32 matrix products; the
+    # counts are exact integers, so no BLAS summation order may show
+    rng = random.Random(23)
+    lines = ["c0,c1,c2,c3,c4,c5,n0,d"]
+    for _ in range(400):
+        row = [rng.choice("abcde") for _ in range(6)] + [str(rng.randrange(60))]
+        lines.append(",".join(row + [rng.choice(("yes", "no"))]))
+    table = tmp_path / "t.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    invocations = [
+        ["classify", str(table), "--decision", "d", "--seed", "5"],
+        ["classify", str(table), "--decision", "d", "--seed", "5", "--inclusion", "exp"],
+        ["logic", str(table), "--decision", "d", "--granules-from", "4/7,lukasiewicz",
+         "--eval", "c0=a | c1=b -> d=yes"],
+    ]
+    src = str(Path(mereoml.__file__).resolve().parents[1])
+    for argv in invocations:
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "mereoml.cli", *argv],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv

@@ -5,9 +5,11 @@ import io
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import hypothesis
 import hypothesis.strategies as strat
+import numpy as np
 import pytest
 
 from mereoml import (
@@ -28,7 +30,8 @@ from mereoml import (
     load_csv,
     row_dis_count,
 )
-from mereoml.dataset import NA_VALUE
+from mereoml import dataset
+from mereoml.dataset import NA_VALUE, WIDE_COLUMN, dis_count_matrix
 from mereoml.errors import read_text
 from strategies import tables
 
@@ -460,3 +463,57 @@ def test_discernibility_is_symmetric(table, data):
     assert f == ind_fraction(y, x, table)
     assert 0 <= f <= 1
     assert f == 1 - Fraction(len(dis(x, y, table)), len(table.features))
+
+
+def ref_dis_count_matrix(a, b):
+    """Differing columns of every row pair, one column at a time."""
+    out = np.zeros((len(a), len(b)), dtype=np.int64)
+    for col_a, col_b in zip(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)):
+        out += col_a[:, None] != col_b[None, :]
+    return out
+
+
+@strat.composite
+def code_pairs(draw):
+    """Code matrices a and b of equal width; a may hold -1, b may not.
+
+    Columns draw their codes below a per-column width, which may exceed
+    ``WIDE_COLUMN``; rows and columns may be none.
+    """
+    m = draw(strat.integers(0, 6))
+    widths = draw(strat.lists(
+        strat.sampled_from((1, 2, 3, 5, WIDE_COLUMN, WIDE_COLUMN + 1, 3 * WIDE_COLUMN)),
+        min_size=m, max_size=m,
+    ))
+
+    def rows(count, low):
+        cells = [strat.integers(low, w - 1) for w in widths]
+        return strat.lists(strat.tuples(*cells), min_size=count, max_size=count)
+
+    na, nb = draw(strat.integers(0, 12)), draw(strat.integers(0, 12))
+    a = np.array(draw(rows(na, -1)), dtype=np.int16).reshape(na, m)
+    b = np.array(draw(rows(nb, 0)), dtype=np.int16).reshape(nb, m)
+    return a, b
+
+
+@hypothesis.given(code_pairs(), strat.sampled_from((1, 40, 200, 2**20)))
+def test_dis_count_matrix_matches_the_column_loop(pair, block_bytes):
+    a, b = pair
+    # small byte budgets split even these few rows into several blocks
+    with mock.patch.object(dataset, "COUNT_BLOCK_BYTES", block_bytes):
+        counts = dis_count_matrix(a, b)
+        self_counts = dis_count_matrix(b, b)
+    assert counts.dtype == np.uint8
+    assert np.array_equal(counts, ref_dis_count_matrix(a, b))
+    assert np.array_equal(self_counts, ref_dis_count_matrix(b, b))
+
+
+@pytest.mark.parametrize("wide_column", [WIDE_COLUMN, 0])
+def test_dis_count_matrix_stores_counts_in_the_narrowest_unsigned_dtype(wide_column):
+    for m, dtype in ((0, np.uint8), (255, np.uint8), (256, np.uint16), (70_000, np.uint32)):
+        codes = np.zeros((2, m), dtype=np.int16)
+        codes[1] = 1
+        with mock.patch.object(dataset, "WIDE_COLUMN", wide_column):
+            counts = dis_count_matrix(codes, codes)
+        assert counts.dtype == dtype
+        assert counts.tolist() == [[0, m], [m, 0]]

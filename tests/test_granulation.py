@@ -537,6 +537,16 @@ def test_granular_mirror_of_an_empty_covering_is_empty(kind):
     assert mirror.rows == () and mirror.decisions == ()
 
 
+def test_classifying_against_an_empty_mirror_names_it():
+    system = DecisionSystem(InformationSystem(("a", "b"), ()), "d", ())
+    mirror = granular_mirror(Covering((), frozenset()), system)
+    assert classify_many(mirror, []) == []
+    with pytest.raises(MereomlError, match="mirror has no rows"):
+        classify_many(mirror, [("1", "0")])
+    with pytest.raises(MereomlError, match="mirror has no rows"):
+        classify(mirror, ("1", "0"))
+
+
 @hypothesis.given(decision_tables(max_objects=8), strat.data())
 def test_irreducible_covering_matches_reference_on_any_family(system, data):
     objects = list(system.objects)

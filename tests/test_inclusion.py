@@ -28,10 +28,12 @@ from mereoml import (
     exp_compose,
     exp_row_degree,
     fuzzy_similarity,
+    granule,
     ind_fraction,
     load_csv,
     lukasiewicz_h,
     lukasiewicz_row_degree,
+    radius_grid,
     residuum_lukasiewicz,
     rs_star_archimedean,
     rs_star_exp,
@@ -358,6 +360,64 @@ def test_dis_weight_sums_memory_stays_quadratic():
         tracemalloc.stop()
     assert sums.shape == (n, n)
     assert peak < 20 * n * n
+
+
+def test_counts_hold_more_differing_features_than_int16():
+    """Two rows that differ on each of 40,000 features include to degree 0."""
+    m = 40_000
+    table = InformationSystem(
+        tuple(f"f{j}" for j in range(m)), (("a",) * m, ("b",) * m)
+    )
+    inc = LukasiewiczInclusion(table)
+    assert int(inc.dis_counts[0, 1]) == m
+    assert inc.degree(0, 1) == 0
+    assert inc.membership_mask(0, 1).tolist() == [True, False]
+    assert granule(0, 1, inc).members == frozenset({0})
+
+
+def ref_dis_weight_sums(table, fw):
+    """Pairwise weight sums of the differing features, one column at a time."""
+    out = np.zeros((len(table.rows),) * 2)
+    for col, f in zip(np.ascontiguousarray(table.encoded.codes.T), table.features):
+        out += (col[:, None] != col[None, :]) * fw(f)
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(0, 3), (1, 1), (138, 14), (300, 14), (60, 40)])
+def test_uniform_weight_sums_are_bit_equal_to_the_column_loop(n, m):
+    table = _seeded_table(n, m)
+    inc = ExponentialInclusion(table)
+    ref = ref_dis_weight_sums(table, FeatureWeights.uniform(table.features))
+    assert inc.dis_weight_sums.tobytes() == ref.tobytes()
+    for r in [*radius_grid(m), 0, 1e-300, 1]:
+        expect = ref <= ExponentialInclusion._limit(r)
+        assert np.array_equal(inc.membership_matrix(r), expect), r
+        for center in range(n)[:1]:
+            assert np.array_equal(inc.membership_mask(center, r), expect[center]), r
+
+
+def test_explicit_weights_keep_their_own_sums():
+    table = _seeded_table(50, 4)
+    fw = FeatureWeights(table.features, (0.5, 0.125, 0.25, 1.0))
+    inc = ExponentialInclusion(table, fw)
+    ref = ref_dis_weight_sums(table, fw)
+    assert inc.dis_weight_sums.tobytes() == ref.tobytes()
+    for r in (0, 0.2, 0.5, 0.9, 1):
+        assert np.array_equal(inc.membership_matrix(r), ref <= ExponentialInclusion._limit(r))
+    assert inc.degree(3, 7) == exp_row_degree(table.rows[3], table.rows[7], fw)
+
+
+def test_exponential_membership_memory_stays_below_four_bytes_a_pair():
+    n = 600
+    inc = ExponentialInclusion(_seeded_table(n, 14))
+    tracemalloc.start()
+    try:
+        matrix = inc.membership_matrix(0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (n, n)
+    assert peak < 4 * n * n
 
 
 @hypothesis.given(tables(max_objects=10), strat.data())
