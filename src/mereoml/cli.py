@@ -27,6 +27,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def _get_values(self, action, arg_strings):
+        # argparse of Python 3.11 strips the value of "--opt=--" and gives an
+        # empty list; the value is kept as the text "--"
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -47,8 +56,18 @@ def _int_at_least(low: int):
     return parse
 
 
+#: Most characters a radius may be written with, counting an exponent as
+#: that many zeros; the exact value then has no more digits.  ``Fraction``
+#: forms an exponent's power of ten exactly, which for 1e-99999999 takes
+#: minutes, and no message can print an integer of more than 4300 digits.
+_RADIUS_DIGITS = 4300
+
+
 def _parse_radius(text: str) -> Fraction:
+    _, _, exponent = text.lower().partition("e")
     try:
+        if len(text) + abs(int(exponent or 0)) > _RADIUS_DIGITS:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise MereomlError(f"bad radius {text!r}; use a fraction like 2/3 or 0.5") from None

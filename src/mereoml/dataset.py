@@ -429,27 +429,28 @@ def _conditional(system: InformationSystem | DecisionSystem) -> InformationSyste
     return system.system if isinstance(system, DecisionSystem) else system
 
 
-def dis(x: int, y: int, system: InformationSystem | DecisionSystem) -> frozenset[str]:
-    """The set of conditional features on which objects ``x`` and ``y`` differ."""
+def _pair(x: int, y: int, system: InformationSystem | DecisionSystem) -> tuple:
+    """The conditional table and the rows of objects ``x`` and ``y``, both checked."""
     table = _conditional(system)
     table._check_object(x)
     table._check_object(y)
-    rx, ry = table.rows[x], table.rows[y]
+    return table, table.rows[x], table.rows[y]
+
+
+def dis(x: int, y: int, system: InformationSystem | DecisionSystem) -> frozenset[str]:
+    """The set of conditional features on which objects ``x`` and ``y`` differ."""
+    table, rx, ry = _pair(x, y, system)
     return frozenset(f for f, a, b in zip(table.features, rx, ry) if a != b)
 
 
 def ind_fraction(x: int, y: int, system: InformationSystem | DecisionSystem) -> Fraction:
     """The exact fraction of conditional features on which ``x`` and ``y`` agree."""
-    table = _conditional(system)
-    table._check_object(x)
-    table._check_object(y)
-    rx, ry = table.rows[x], table.rows[y]
-    agree = sum(1 for a, b in zip(rx, ry) if a == b)
-    return Fraction(agree, len(table.features))
+    _, rx, ry = _pair(x, y, system)
+    return Fraction(len(rx) - row_dis_count(rx, ry), len(rx))
 
 
 def row_dis_count(row_a: Sequence[str], row_b: Sequence[str]) -> int:
     """Number of positions on which two equal-length value rows differ."""
     if len(row_a) != len(row_b):
-        raise ValueError(f"row lengths differ: {len(row_a)} vs {len(row_b)}")
-    return sum(1 for a, b in zip(row_a, row_b) if a != b)
+        raise ParameterError(f"row lengths differ: {len(row_a)} vs {len(row_b)}")
+    return sum(map(operator.ne, row_a, row_b))

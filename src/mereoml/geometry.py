@@ -117,8 +117,12 @@ def extent(a: Rect, b: Rect) -> Rect:
 
 
 def between_extent(z: Rect, a: Rect, b: Rect) -> bool:
-    """Navigational betweenness: z lies inside the extent of a and b."""
-    return extent(a, b).contains(z)
+    """Navigational betweenness: z lies inside the extent of a and b.
+
+    Evaluated as the formation clause "robot 0 between 1 and 2" on the boxes.
+    """
+    boxes = {i: (r.x1, r.y1, r.x2, r.y2) for i, r in enumerate((z, a, b))}
+    return _check_one(Between(0, 1, 2), boxes) is None
 
 
 # --- formations -------------------------------------------------------------
@@ -344,9 +348,9 @@ def check_formation(
 def _check_one(c: Constraint, boxes: Mapping[int, Box]) -> str | None:
     """Why clause c fails on the (x1, y1, x2, y2) boxes, or None.
 
-    The comparisons are those of ``between_extent`` and of the distance
-    between rectangle centres, made on coordinates.  A robot without a box
-    raises KeyError.
+    The comparisons are those of ``extent(a, b).contains(z)`` and of the
+    distance between rectangle centres, made on coordinates.  A robot
+    without a box raises KeyError.
     """
     if isinstance(c, MaxDist):
         reason = _check_one(c.inner, boxes)
@@ -456,14 +460,22 @@ def load_world(path: str | Path) -> World:
     return World(bounds, tuple(obstacles), goal, cell, tuple(robots))
 
 
+#: Most cells a world grid may have; the field's arrays take about 50 MB.
+MAX_CELLS = 1 << 22
+
+
 class PotentialField:
     """Per-cell distance-to-goal over the world grid; inf where blocked."""
 
     def __init__(self, world: World, inflate: float = 0.0):
         b = world.bounds
         self.x1, self.y1, self.cell = b.x1, b.y1, world.cell
-        self.nx = max(1, round(b.width / world.cell))
-        self.ny = max(1, round(b.height / world.cell))
+        nx, ny = b.width / world.cell, b.height / world.cell
+        # also false for infinite bounds
+        if not nx * ny <= MAX_CELLS:
+            raise MereomlError(f"world grid of {nx:g} x {ny:g} cells exceeds {MAX_CELLS} cells")
+        self.nx = max(1, round(nx))
+        self.ny = max(1, round(ny))
         if (
             abs(self.nx * world.cell - b.width) > 1e-6
             or abs(self.ny * world.cell - b.height) > 1e-6

@@ -30,6 +30,7 @@ from .dataset import (
     dis,
     dis_count_matrix,
     ind_fraction,
+    row_dis_count,
 )
 from .errors import DegreeUnderflow, MereomlError
 from .mereo import Entity, EntityLike, WeightFn, entity_product
@@ -132,19 +133,20 @@ def rs_star_exp(
     system: InformationSystem | DecisionSystem,
     fw: FeatureWeights | None = None,
 ) -> float:
-    """exp(-(sum of weights of differing features)^2); 1 iff the rows agree."""
+    """exp(-(sum of weights of differing features)^2); 1 iff the rows agree.
+
+    Sums in table feature order, as :func:`exp_row_degree` does.
+    """
     if fw is None:
         fw = FeatureWeights.uniform(system.features)
-    s = fw.total(dis(x, y, system))
+    differing = dis(x, y, system)
+    s = fw.total(f for f in system.features if f in differing)
     return math.exp(-(s * s))
 
 
 def lukasiewicz_row_degree(row_a: Sequence[str], row_b: Sequence[str]) -> Fraction:
     """Agreeing-position fraction of two aligned value rows."""
-    if len(row_a) != len(row_b):
-        raise MereomlError(f"row lengths differ: {len(row_a)} vs {len(row_b)}")
-    agree = sum(1 for a, b in zip(row_a, row_b) if a == b)
-    return Fraction(agree, len(row_a))
+    return Fraction(len(row_a) - row_dis_count(row_a, row_b), len(row_a))
 
 
 def exp_row_degree(
@@ -238,7 +240,9 @@ class _TableInclusion(RoughInclusion):
     """Object containment on a discrete table, read from its count matrix.
 
     ``dis_counts`` counts the differing conditional features of every pair
-    of objects, as one :func:`dis_count_matrix` product, on first use.
+    of objects, as one :func:`dis_count_matrix` product, on first use.  Each
+    kind supplies ``_bounded(r)``, a matrix and a bound with degree(x, y) >= r
+    iff ``matrix[x, y] <= bound``; membership is that one comparison.
     """
 
     symmetric = True
@@ -251,6 +255,16 @@ class _TableInclusion(RoughInclusion):
     def dis_counts(self) -> np.ndarray:
         codes = self._table.encoded.codes
         return dis_count_matrix(codes, codes)
+
+    def membership_mask(self, center: int, r) -> np.ndarray:
+        """Boolean row over all objects: degree(y, center) >= r."""
+        matrix, bound = self._bounded(r)
+        return matrix[center] <= bound
+
+    def membership_matrix(self, r) -> np.ndarray:
+        """Boolean matrix whose row c is ``membership_mask(c, r)``."""
+        matrix, bound = self._bounded(r)
+        return matrix <= bound
 
 
 @dataclass(frozen=True)
@@ -268,17 +282,9 @@ class LukasiewiczInclusion(_TableInclusion):
         m = len(self._table.features)
         return Fraction(m - int(self.dis_counts[x, y]), m)
 
-    def _limit(self, r) -> int:
-        """Largest differing-feature count with degree >= r: m*(1-r), floored exactly."""
-        return math.floor(len(self._table.features) * (1 - Fraction(r)))
-
-    def membership_mask(self, center: int, r) -> np.ndarray:
-        """Boolean row over all objects: degree(y, center) >= r."""
-        return self.dis_counts[center] <= self._limit(r)
-
-    def membership_matrix(self, r) -> np.ndarray:
-        """Boolean matrix whose row c is ``membership_mask(c, r)``."""
-        return self.dis_counts <= self._limit(r)
+    def _bounded(self, r) -> tuple[np.ndarray, int]:
+        """The counts, and the largest count with degree >= r: m*(1-r), floored exactly."""
+        return self.dis_counts, math.floor(len(self._table.features) * (1 - Fraction(r)))
 
 
 @dataclass(frozen=True)
@@ -328,28 +334,22 @@ class ExponentialInclusion(_TableInclusion):
 
     @staticmethod
     def _limit(r: float) -> float:
-        """Largest weight sum S with exp(-S^2) >= r: sqrt(-ln r), with slack."""
+        """Largest weight sum S with exp(-S^2) >= r: sqrt(-ln r), with slack.
+
+        An exact radius too small for a float, such as 1e-400, takes its
+        logarithm from its numerator and denominator.
+        """
         if r <= 0:
             return math.inf
+        log_r = math.log(r) if float(r) else math.log(r.numerator) - math.log(r.denominator)
         # small slack absorbs fp noise
-        return math.sqrt(-math.log(r)) + 1e-12
+        return math.sqrt(-log_r) + 1e-12
 
     def _bounded(self, r: float) -> tuple[np.ndarray, float]:
-        """A matrix and a bound: degree(x, y) >= r iff ``matrix[x, y] <= bound``.
-
-        The sums grow with the count, so under uniform weights the bound is
-        the largest count whose sum stays within the limit.
+        """The sums and the limit, or under uniform weights the counts and the
+        largest count whose sum stays within the limit: the sums grow with it.
         """
         limit = self._limit(r)
         if self.weights is not None:
             return self.dis_weight_sums, limit
         return self.dis_counts, int(np.searchsorted(self._sums_by_count, limit, "right")) - 1
-
-    def membership_mask(self, center: int, r: float) -> np.ndarray:
-        matrix, bound = self._bounded(r)
-        return matrix[center] <= bound
-
-    def membership_matrix(self, r: float) -> np.ndarray:
-        """Boolean matrix whose row c is ``membership_mask(c, r)``."""
-        matrix, bound = self._bounded(r)
-        return matrix <= bound

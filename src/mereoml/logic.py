@@ -68,6 +68,11 @@ class Implies:
 
 Formula = Union[Atom, Not, And, Or, Implies]
 
+#: Most levels a parsed formula may nest: every connective and every pair of
+#: parentheses is one level, an atom is the last.  Evaluation and printing
+#: recurse once per level, so a deeper formula is a parse error.
+MAX_DEPTH = 100
+
 _WORD_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
 
 
@@ -121,10 +126,11 @@ def parse_formula(
     """Parse formula text; when a system is given, check atoms against it.
 
     Features must exist in the system (the decision feature counts); values
-    must have been observed for their feature unless ``allow_unseen``.
+    must have been observed for their feature unless ``allow_unseen``.  A
+    formula nested more than :data:`MAX_DEPTH` levels deep is rejected.
     """
     tokens = _Tokens(text)
-    formula = _parse_imp(tokens)
+    formula, _ = _parse_imp(tokens, 0)
     trailing = tokens.peek()
     if trailing[0] != "end":
         raise ParseError(
@@ -135,44 +141,64 @@ def parse_formula(
     return formula
 
 
-def _parse_imp(tokens: _Tokens) -> Formula:
-    left = _parse_or(tokens)
+# Each parser takes the levels opened above it and returns its formula with
+# the levels it spans; a chain of & or | deepens its first operand per link.
+
+
+def _too_deep(column: int) -> ParseError:
+    return ParseError(f"formula nested more than {MAX_DEPTH} levels deep at column {column}")
+
+
+def _join(kind, left, right, depth: int, column: int) -> tuple[Formula, int]:
+    """The node ``kind(left, right)`` of two parsed (formula, levels) pairs."""
+    levels = max(left[1], right[1]) + 1
+    if depth + levels > MAX_DEPTH:
+        raise _too_deep(column)
+    return kind(left[0], right[0]), levels
+
+
+def _parse_imp(tokens: _Tokens, depth: int) -> tuple[Formula, int]:
+    left = _parse_or(tokens, depth)
     if tokens.peek()[0] == "->":
-        tokens.take("->")
-        return Implies(left, _parse_imp(tokens))
+        column = tokens.take("->")[2]
+        return _join(Implies, left, _parse_imp(tokens, depth + 1), depth, column)
     return left
 
 
-def _parse_or(tokens: _Tokens) -> Formula:
-    node = _parse_and(tokens)
+def _parse_or(tokens: _Tokens, depth: int) -> tuple[Formula, int]:
+    node = _parse_and(tokens, depth)
     while tokens.peek()[0] == "|":
-        tokens.take("|")
-        node = Or(node, _parse_and(tokens))
+        column = tokens.take("|")[2]
+        node = _join(Or, node, _parse_and(tokens, depth + 1), depth, column)
     return node
 
 
-def _parse_and(tokens: _Tokens) -> Formula:
-    node = _parse_not(tokens)
+def _parse_and(tokens: _Tokens, depth: int) -> tuple[Formula, int]:
+    node = _parse_not(tokens, depth)
     while tokens.peek()[0] == "&":
-        tokens.take("&")
-        node = And(node, _parse_not(tokens))
+        column = tokens.take("&")[2]
+        node = _join(And, node, _parse_not(tokens, depth + 1), depth, column)
     return node
 
 
-def _parse_not(tokens: _Tokens) -> Formula:
-    kind, _, _ = tokens.peek()
+def _parse_not(tokens: _Tokens, depth: int) -> tuple[Formula, int]:
+    kind, _, column = tokens.peek()
+    # every recursion passes here, so this also bounds the parser's stack
+    if depth >= MAX_DEPTH:
+        raise _too_deep(column)
     if kind == "!":
         tokens.take("!")
-        return Not(_parse_not(tokens))
+        sub, levels = _parse_not(tokens, depth + 1)
+        return Not(sub), levels + 1
     if kind == "(":
         tokens.take("(")
-        inner = _parse_imp(tokens)
+        inner, levels = _parse_imp(tokens, depth + 1)
         tokens.take(")")
-        return inner
+        return inner, levels + 1
     feature = tokens.take("word")[1]
     tokens.take("=")
     value = tokens.take("word")[1]
-    return Atom(feature, value)
+    return Atom(feature, value), 1
 
 
 def _check_atoms(formula: Formula, system, allow_unseen: bool) -> None:

@@ -360,11 +360,12 @@ def load_network(path: str | Path) -> Network:
         pending = None
 
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        words = shlex.split(raw, comments=True)
-        if not words:
-            continue
-        directive, args = words[0], words[1:]
         try:
+            # an unclosed quote is a malformed line too
+            words = shlex.split(raw, comments=True)
+            if not words:
+                continue
+            directive, args = words[0], words[1:]
             if directive == "layer":
                 flush()
                 layers.append([])

@@ -344,6 +344,49 @@ def test_classify_empty_radii_is_a_bad_radius(capsys, table_csv):
     _one_error_line(err, "bad radius ''")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--seed", "1", "--folds", "2", "--inclusion", "exp", "--radii", "{r}"),
+        ("granulate", "--inclusion", "exp", "--radius", "{r}"),
+        ("logic", "--granules-from", "{r},exp", "--eval", "a=1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exp_radius_below_the_smallest_float_acts_as_radius_zero(capsys, table_csv, argv):
+    """1e-400 is a float 0.0: its limit comes from the exact logarithm."""
+    code, out, err = run(capsys, argv[0], table_csv, "--decision", "d",
+                         *(a.format(r="1e-400") for a in argv[1:]))
+    assert (code, err) == (0, "")
+    zero = run(capsys, argv[0], table_csv, "--decision", "d",
+               *(a.format(r="0") for a in argv[1:]))
+    assert out == zero[1]
+
+
+@pytest.mark.parametrize(
+    "radius", ["1e-99999999", "1e5000", "9" * 4300 + ".5"], ids=["tiny", "huge", "long"]
+)
+def test_radius_with_too_many_digits_is_a_bad_radius(capsys, table_csv, radius):
+    code, out, err = run(
+        capsys, "granulate", table_csv, "--decision", "d", "--radius", radius
+    )
+    assert code == 2 and out == ""
+    _one_error_line(err, "bad radius")
+
+
+@pytest.mark.parametrize(
+    "argv, code, first",
+    [
+        (("granulate", "--radius=--"), 2, "mereoml: bad radius '--'"),
+        (("classify", "--seed=--"), 1, "usage: mereoml classify"),
+    ],
+)
+def test_option_value_of_two_dashes_is_read_as_text(capsys, table_csv, argv, code, first):
+    got, out, err = run(capsys, argv[0], table_csv, "--decision", "d", *argv[1:])
+    assert (got, out) == (code, "")
+    assert err.startswith(first) and "Traceback" not in err
+
+
 def test_classify_decision_only_table_is_data_error(capsys, tmp_path):
     path = tmp_path / "decision_only.csv"
     path.write_text("d\ny\nn\ny\nn\n", encoding="utf-8")
@@ -522,6 +565,33 @@ def test_logic_parse_error_exits_2(capsys, table_csv):
     assert "column" in err
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "!" * 3000 + "a=1",
+        "(" * 2000 + "a=1" + ")" * 2000,
+        " & ".join(["a=1"] * 3001),
+        " -> ".join(["a=1"] * 3001),
+    ],
+    ids=["not", "parentheses", "and-chain", "implies-chain"],
+)
+def test_logic_formula_nested_too_deep_is_a_data_error(capsys, table_csv, formula):
+    code, out, err = run(
+        capsys, "logic", table_csv, "--decision", "d",
+        "--granules-from", "1/2,lukasiewicz", "--eval", formula,
+    )
+    assert code == 2 and out == ""
+    _one_error_line(err, "more than 100 levels deep", "column")
+
+
+def test_logic_formula_of_the_deepest_allowed_nesting_evaluates(capsys, table_csv):
+    payload = run_json(
+        capsys, "logic", table_csv, "--decision", "d",
+        "--granules-from", "1/2,lukasiewicz", "--eval", "!" * 98 + "(a=1)",
+    )
+    assert payload["formula"] == "!" * 98 + "a=1"
+
+
 # --- net -------------------------------------------------------------------
 
 
@@ -534,6 +604,14 @@ def test_net_propagates(capsys, net_file):
     assert payload["final_degree"] == pytest.approx(math.exp(-4 / 9))
     assert payload["steps"][0]["lukasiewicz_bound"] is None
     assert payload["steps"][2]["meets_max_bound"] is False
+
+
+def test_net_line_with_an_unclosed_quote_is_malformed(capsys, tmp_path):
+    path = tmp_path / "quote.net"
+    path.write_text('layer\nagent "b\n', encoding="utf-8")
+    code, out, err = run(capsys, "net", str(path), "--input", "0")
+    assert code == 2 and out == ""
+    _one_error_line(err, "malformed line 2")
 
 
 def test_net_wrong_input_count(capsys, net_file):
@@ -579,6 +657,21 @@ def test_sim_step_budget(capsys, tmp_path):
     )
     assert payload["status"] == "step_budget"
     assert payload["steps"] == 2
+
+
+@pytest.mark.parametrize("bounds", ["0 0 inf 5", "0 0 1e300 5"])
+def test_sim_world_grid_too_large_is_a_data_error(capsys, tmp_path, bounds):
+    world, formation = tmp_path / "w.txt", tmp_path / "f.frm"
+    world.write_text(
+        f"bounds {bounds}\ncell 1\ngoal 1 1 2 2\nrobot 0 0.1 0.1 0.3 0.3\n", encoding="utf-8"
+    )
+    formation.write_text("(f (set (between roomba 0 roomba 0 roomba 0)))\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "sim", str(world), str(formation),
+        "--out", str(tmp_path / "t.csv"), "--svg", str(tmp_path / "t.svg"),
+    )
+    assert code == 2 and out == ""
+    _one_error_line(err, "world grid of", "exceeds")
 
 
 SIM_ERROR_WORLDS = {

@@ -148,6 +148,26 @@ def test_between_extent():
     assert not between_extent(Rect(5, 0, 6, 1), a, b)
 
 
+_SLACKS = (0.0, 0.5e-9, 1e-9, 1.5e-9, 2e-9, 0.25)
+
+
+@hypothesis.given(
+    strat.lists(strat.integers(0, 6), min_size=4, max_size=4),
+    strat.lists(strat.sampled_from(_SLACKS), min_size=4, max_size=4),
+)
+def test_between_extent_is_the_rect_test_at_the_slack(corners, outward):
+    """z's edges sit outside the extent by up to twice ``_EPS``, or well past it."""
+    x, y, u, v = corners
+    a, b = Rect(x, y, x + 1, y + 2), Rect(u, v, u + 3, v + 1)
+    e = extent(a, b)
+    z = Rect(e.x1 - outward[0], e.y1 - outward[1], e.x2 + outward[2], e.y2 + outward[3])
+    inside = between_extent(z, a, b)
+    assert inside == e.contains(z)
+    # away from the exact slack, rounding cannot decide the answer
+    if 1e-9 not in outward:
+        assert inside == all(o < 1e-9 for o in outward)
+
+
 # --- formation scripts -----------------------------------------------------
 
 SCRIPT = (
@@ -626,11 +646,11 @@ def ref_check_formation(formation, poses):
 
     def check_one(c):
         if isinstance(c, Between):
-            if not between_extent(pose(c.robot), pose(c.a), pose(c.b)):
+            if not extent(pose(c.a), pose(c.b)).contains(pose(c.robot)):
                 return f"robot {c.robot} outside extent of {c.a} and {c.b}"
             return None
         if isinstance(c, NotBetween):
-            if between_extent(pose(c.robot), pose(c.a), pose(c.b)):
+            if extent(pose(c.a), pose(c.b)).contains(pose(c.robot)):
                 return f"robot {c.robot} inside extent of {c.a} and {c.b}"
             return None
         inner_reason = check_one(c.inner)

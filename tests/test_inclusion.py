@@ -2,15 +2,20 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as strat
 import numpy as np
 import pytest
 
+import mereoml
 from mereoml import (
     ArchimedeanInclusion,
     Carrier,
@@ -196,6 +201,53 @@ def test_rs_star_exp_custom_weights():
     fw = FeatureWeights(("f", "g", "h"), (0.5, 0.25, 0.25))
     assert rs_star_exp(0, 1, T3, fw) == pytest.approx(math.exp(-0.0625))
     assert rs_star_exp(0, 2, T3, fw) == pytest.approx(math.exp(-1))
+
+
+@hypothesis.given(tables(min_objects=2, max_features=7), strat.data())
+def test_rs_star_exp_adds_weights_in_table_feature_order(table, data):
+    """Weights listed in any order sum as the inclusion sums them, bit for bit."""
+    order = data.draw(strat.permutations(table.features))
+    values = data.draw(
+        strat.lists(strat.floats(1e-3, 10), min_size=len(order), max_size=len(order))
+    )
+    fw = FeatureWeights(tuple(order), tuple(values))
+    inc = ExponentialInclusion(table, fw)
+    for x, y in itertools.product(table.objects, repeat=2):
+        assert rs_star_exp(x, y, table, fw).hex() == inc.degree(x, y).hex(), (x, y)
+
+
+def test_rs_star_exp_needs_weights_only_for_differing_features():
+    # objects 0 and 1 of T3 differ on h alone
+    assert rs_star_exp(0, 1, T3, FeatureWeights(("h",), (0.5,))) == math.exp(-0.25)
+    with pytest.raises(MereomlError):
+        rs_star_exp(0, 2, T3, FeatureWeights(("h",), (0.5,)))
+
+
+_EXP_DIGEST = """
+import hashlib, random
+from mereoml import FeatureWeights, InformationSystem, rs_star_exp
+rng = random.Random(3)
+features = tuple(f"f{j}" for j in range(7))
+table = InformationSystem(features, (("0",) * 7, ("1",) * 7))
+values = [
+    rs_star_exp(0, 1, table, FeatureWeights(features, tuple(rng.random() + 0.01 for _ in features)))
+    for _ in range(200)
+]
+print(hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest())
+"""
+
+
+def test_rs_star_exp_does_not_depend_on_the_hash_seed():
+    src = str(Path(mereoml.__file__).resolve().parents[1])
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", _EXP_DIGEST],
+            capture_output=True, text=True, check=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert digests[0] == digests[1]
 
 
 def test_feature_weights_validation():
@@ -443,6 +495,8 @@ def test_exponential_mask_at_zero_radius():
     inc = ExponentialInclusion(T3)
     assert inc.membership_mask(1, 0).all()
     assert inc.membership_mask(1, -1).all()
+    # a float rounds this radius to 0.0; its exact logarithm still bounds the sums
+    assert inc.membership_mask(1, Fraction(1, 10**400)).all()
 
 
 def test_exponential_inclusion_respects_custom_weights():
