@@ -7,12 +7,11 @@ candidate-quantified betweenness are defined.  For navigation the workable
 notion is extent-betweenness: lying inside the smallest rectangle spanning
 two others.
 
-Formations couple robots with between / not-between / max-dist constraints
-written in a tiny s-expression language.  The simulator drives the lowest-id
-robot down a grid potential field (breadth-first distance to the goal with
-obstacles inflated by the largest robot half-extent) while the others pick,
-each step, the move that first repairs constraint violations and then makes
-progress.
+The simulator moves robots held in a formation (see ``formation``): it
+drives the lowest-id robot down a grid potential field (breadth-first
+distance to the goal with obstacles inflated by the largest robot
+half-extent) while the others pick, each step, the move that first repairs
+constraint violations and then makes progress.
 """
 
 from __future__ import annotations
@@ -20,13 +19,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import MereomlError, read_text
 
-_EPS = 1e-9
+# the clause types and parse_formation stay reachable from this module too,
+# where the CLI and older callers look them up
+from .formation import (
+    _EPS,
+    Between,
+    Box,
+    Formation,
+    MaxDist,
+    NotBetween,
+    _clause_robots,
+    _compile,
+    parse_formation,
+)
 
 
 @dataclass(frozen=True)
@@ -122,266 +133,7 @@ def between_extent(z: Rect, a: Rect, b: Rect) -> bool:
     Evaluated as the formation clause "robot 0 between 1 and 2" on the boxes.
     """
     boxes = {i: (r.x1, r.y1, r.x2, r.y2) for i, r in enumerate((z, a, b))}
-    return _check_one(Between(0, 1, 2), boxes) is None
-
-
-# --- formations -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Between:
-    robot: int
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class NotBetween:
-    robot: int
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class MaxDist:
-    delta: float
-    robot: int
-    inner: Between
-
-
-Constraint = Union[Between, NotBetween, MaxDist]
-
-
-@dataclass(frozen=True)
-class Formation:
-    """Named constraint set; ``species`` is the word robots go by in scripts."""
-
-    name: str
-    constraints: tuple[Constraint, ...]
-    species: str = "roomba"
-
-    def robot_ids(self) -> frozenset[int]:
-        return frozenset(rid for c in self.constraints for rid in _clause_robots(c))
-
-
-def _clause_robots(c: Constraint) -> tuple[int, ...]:
-    if isinstance(c, MaxDist):
-        return (c.robot, c.inner.robot, c.inner.a, c.inner.b)
-    return (c.robot, c.a, c.b)
-
-
-class FormationParseError(MereomlError):
-    """Formation script rejected; message carries a 1-based column."""
-
-
-class _SexpTokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, int]] = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c in "()":
-                self.items.append((c, i + 1))
-                i += 1
-            else:
-                j = i
-                while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                    j += 1
-                self.items.append((text[i:j], i + 1))
-                i = j
-        self.pos = 0
-
-    def peek(self) -> tuple[str, int]:
-        if self.pos < len(self.items):
-            return self.items[self.pos]
-        return ("", len(self.text) + 1)
-
-    def take(self, expected: str | None = None) -> tuple[str, int]:
-        tok, col = self.peek()
-        if not tok:
-            raise FormationParseError(f"unexpected end of input at column {col}")
-        if expected is not None and tok != expected:
-            raise FormationParseError(
-                f"expected {expected!r}, found {tok!r} at column {col}"
-            )
-        self.pos += 1
-        return tok, col
-
-
-def parse_formation(
-    text: str, robot_ids: Sequence[int] | None = None
-) -> Formation:
-    """Parse a formation script like ``(cross (set (between roomba 0 ...)))``.
-
-    When ``robot_ids`` is given, every referenced robot must be among them.
-    All robot references must use one species word.
-    """
-    tokens = _SexpTokens(text)
-    tokens.take("(")
-    name, col = tokens.take()
-    if name in "()" or name == "set":
-        raise FormationParseError(f"expected formation name at column {col}")
-    tokens.take("(")
-    tokens.take("set")
-    species: list[str] = []
-    constraints = []
-    while tokens.peek()[0] == "(":
-        constraints.append(_parse_clause(tokens, species))
-    tokens.take(")")
-    tokens.take(")")
-    trailing, col = tokens.peek()
-    if trailing:
-        raise FormationParseError(f"unexpected {trailing!r} at column {col}")
-    formation = Formation(name, tuple(constraints), species[0] if species else "roomba")
-    if robot_ids is not None:
-        known = set(robot_ids)
-        unknown = sorted(formation.robot_ids() - known)
-        if unknown:
-            raise FormationParseError(f"unknown robot ids {unknown}")
-    return formation
-
-
-def _parse_robot(tokens: _SexpTokens, species: list[str]) -> int:
-    word, col = tokens.take()
-    if word in "()":
-        raise FormationParseError(f"expected robot name at column {col}")
-    if species and word != species[0]:
-        raise FormationParseError(
-            f"robot species {word!r} at column {col} differs from {species[0]!r}"
-        )
-    if not species:
-        species.append(word)
-    num, col = tokens.take()
-    try:
-        return int(num)
-    except ValueError:
-        raise FormationParseError(
-            f"expected robot number, found {num!r} at column {col}"
-        ) from None
-
-
-def _parse_clause(tokens: _SexpTokens, species: list[str]) -> Constraint:
-    tokens.take("(")
-    head, col = tokens.take()
-    if head == "between":
-        clause: Constraint = Between(
-            _parse_robot(tokens, species),
-            _parse_robot(tokens, species),
-            _parse_robot(tokens, species),
-        )
-    elif head == "not-between":
-        clause = NotBetween(
-            _parse_robot(tokens, species),
-            _parse_robot(tokens, species),
-            _parse_robot(tokens, species),
-        )
-    elif head == "max-dist":
-        num, ncol = tokens.take()
-        try:
-            delta = float(num)
-        except ValueError:
-            raise FormationParseError(
-                f"expected a distance, found {num!r} at column {ncol}"
-            ) from None
-        if not (math.isfinite(delta) and delta > 0):
-            raise FormationParseError(
-                f"max-dist must be positive and finite at column {ncol}"
-            )
-        robot = _parse_robot(tokens, species)
-        inner = _parse_clause(tokens, species)
-        if not isinstance(inner, Between):
-            raise FormationParseError(
-                f"max-dist wraps a between clause (column {col})"
-            )
-        clause = MaxDist(delta, robot, inner)
-    else:
-        raise FormationParseError(f"unknown clause {head!r} at column {col}")
-    tokens.take(")")
-    return clause
-
-
-def print_formation(formation: Formation) -> str:
-    """Canonical script text; parse round-trips it."""
-    sp = formation.species
-    parts = [_print_clause(c, sp) for c in formation.constraints]
-    inner = ("(set " + " ".join(parts) + ")") if parts else "(set)"
-    return f"({formation.name} {inner})"
-
-
-def _print_clause(c: Constraint, sp: str) -> str:
-    if isinstance(c, Between):
-        return f"(between {sp} {c.robot} {sp} {c.a} {sp} {c.b})"
-    if isinstance(c, NotBetween):
-        return f"(not-between {sp} {c.robot} {sp} {c.a} {sp} {c.b})"
-    return f"(max-dist {c.delta:g} {sp} {c.robot} {_print_clause(c.inner, sp)})"
-
-
-@dataclass(frozen=True)
-class Violation:
-    index: int
-    constraint: Constraint
-    reason: str
-
-
-#: a rectangle as plain (x1, y1, x2, y2) coordinates, for the formation checks
-Box = tuple[float, float, float, float]
-
-
-def check_formation(
-    formation: Formation, poses: Mapping[int, Rect]
-) -> list[Violation]:
-    """All constraints violated by the given poses, with their indices."""
-    boxes = {rid: (r.x1, r.y1, r.x2, r.y2) for rid, r in poses.items()}
-    out = []
-    for i, c in enumerate(formation.constraints):
-        try:
-            reason = _check_one(c, boxes)
-        except KeyError as missing:
-            raise MereomlError(f"no pose for robot {missing.args[0]}") from None
-        if reason is not None:
-            out.append(Violation(i, c, reason))
-    return out
-
-
-def _check_one(c: Constraint, boxes: Mapping[int, Box]) -> str | None:
-    """Why clause c fails on the (x1, y1, x2, y2) boxes, or None.
-
-    The comparisons are those of ``extent(a, b).contains(z)`` and of the
-    distance between rectangle centres, made on coordinates.  A robot
-    without a box raises KeyError.
-    """
-    if isinstance(c, MaxDist):
-        reason = _check_one(c.inner, boxes)
-        if reason is not None:
-            return reason
-        rx1, ry1, rx2, ry2 = boxes[c.robot]
-        ax1, ay1, ax2, ay2 = boxes[c.inner.a]
-        bx1, by1, bx2, by2 = boxes[c.inner.b]
-        rx, ry = (rx1 + rx2) / 2, (ry1 + ry2) / 2
-        d = max(
-            math.hypot(rx - (ax1 + ax2) / 2, ry - (ay1 + ay2) / 2),
-            math.hypot(rx - (bx1 + bx2) / 2, ry - (by1 + by2) / 2),
-        )
-        if d > c.delta + _EPS:
-            return f"robot {c.robot} at distance {d:.3f} > {c.delta}"
-        return None
-    zx1, zy1, zx2, zy2 = boxes[c.robot]
-    ax1, ay1, ax2, ay2 = boxes[c.a]
-    bx1, by1, bx2, by2 = boxes[c.b]
-    inside = (
-        min(ax1, bx1) <= zx1 + _EPS
-        and zx2 <= max(ax2, bx2) + _EPS
-        and min(ay1, by1) <= zy1 + _EPS
-        and zy2 <= max(ay2, by2) + _EPS
-    )
-    if isinstance(c, Between):
-        if not inside:
-            return f"robot {c.robot} outside extent of {c.a} and {c.b}"
-    elif inside:
-        return f"robot {c.robot} inside extent of {c.a} and {c.b}"
-    return None
+    return not _compile(Between(0, 1, 2))(boxes)
 
 
 # --- world and navigation ---------------------------------------------------
@@ -460,7 +212,8 @@ def load_world(path: str | Path) -> World:
     return World(bounds, tuple(obstacles), goal, cell, tuple(robots))
 
 
-#: Most cells a world grid may have; the field's arrays take about 50 MB.
+#: Most cells a world grid may have; building such a field peaks at about
+#: 52 MiB (13 B per cell: 8 of values, 1 blocked, 4 of step masks).
 MAX_CELLS = 1 << 22
 
 
@@ -498,21 +251,40 @@ class PotentialField:
                 (o.x1 - inflate + _EPS < xs) & (xs < o.x2 + inflate - _EPS),
             )
         g = world.goal
-        frontier = ~self.blocked & np.outer(
-            (g.y1 <= ys) & (ys <= g.y2), (g.x1 <= xs) & (xs <= g.x2)
+        frontier = np.flatnonzero(
+            ~self.blocked & np.outer((g.y1 <= ys) & (ys <= g.y2), (g.x1 <= xs) & (xs <= g.x2))
         )
-        # breadth-first fill one distance layer at a time, 4-neighbour steps
-        self.values = np.full((self.ny, self.nx), math.inf)
+        # breadth-first fill one distance layer at a time, 4-neighbour steps,
+        # over the flat indices of the layer's cells.  The steps are -1, +1,
+        # -nx and +nx, with +1 and +nx written less the cell count, so that
+        # each target is an index in [-size, size) naming a cell; a step
+        # across a grid edge lands on the opposite edge.  Row k of ``enter``
+        # marks the cells step k may still enter: free, not yet reached, and
+        # not on the edge where its steps across an edge land.
+        size = self.nx * self.ny
+        offsets = np.array([[-1], [1 - size], [-self.nx], [self.nx - size]])
+        enter = np.empty((4, self.ny, self.nx), dtype=bool)
+        np.logical_not(self.blocked, out=enter[0])
+        enter[1:] = enter[0]
+        enter[0, :, -1] = enter[1, :, 0] = enter[2, -1] = enter[3, 0] = False
+        enter = enter.reshape(4, size)
+        directions = np.arange(4)[:, None]
+        values = np.full(size, math.inf)
+        enter[:, frontier] = False
         d = 0
-        while frontier.any():
-            self.values[frontier] = d
-            grown = np.zeros_like(frontier)
-            grown[1:] |= frontier[:-1]
-            grown[:-1] |= frontier[1:]
-            grown[:, 1:] |= frontier[:, :-1]
-            grown[:, :-1] |= frontier[:, 1:]
-            frontier = grown & ~self.blocked & np.isinf(self.values)
+        while frontier.size:
+            values[frontier] = d
+            reached = frontier + offsets
+            reached = reached[enter[directions, reached]] % size
+            enter[:, reached] = False
+            # a cell reached from two sides is listed twice: each copy writes
+            # its position into the cell's value, which the next layer
+            # overwrites, and only the copy whose position stays is kept
+            order = np.arange(reached.size)
+            values[reached] = order
+            frontier = reached[values[reached] == order]
             d += 1
+        self.values = values.reshape(self.ny, self.nx)
 
     def center(self, i: int, j: int) -> tuple[float, float]:
         return (
@@ -596,29 +368,35 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
     leader = ids[0]
     half = {rid: (poses[rid].width / 2, poses[rid].height / 2) for rid in ids}
     cells = {rid: field.cell_of(*poses[rid].center) for rid in ids}
+    # zero-copy views of the field, whose items index as Python floats and
+    # bools, and the cell centres per axis
+    nx, ny = field.nx, field.ny
+    value, blocked = memoryview(field.values), memoryview(field.blocked)
+    xs = [field.center(i, 0)[0] for i in range(nx)]
+    ys = [field.center(0, j)[1] for j in range(ny)]
 
     def box_at(rid: int, cell: tuple[int, int]) -> Box:
-        cx, cy = field.center(*cell)
+        i, j = cell
         hx, hy = half[rid]
-        return (cx - hx, cy - hy, cx + hx, cy + hy)
+        return (xs[i] - hx, ys[j] - hy, xs[i] + hx, ys[j] + hy)
 
     # each robot's box, and the rectangle the log holds, replaced only when
     # that robot moves
     boxes = {rid: box_at(rid, cells[rid]) for rid in ids}
     rects = {rid: Rect(*boxes[rid]) for rid in ids}
     clauses = formation.constraints
+    tests = [_compile(c) for c in clauses]
     # a follower's move decides only the clauses naming it; the others add
     # the same count to every move it weighs
-    naming = {rid: [c for c in clauses if rid in _clause_robots(c)] for rid in ids}
-
-    def violated(cs: Sequence[Constraint]) -> int:
-        return sum(_check_one(c, boxes) is not None for c in cs)
+    naming = {
+        rid: [t for c, t in zip(clauses, tests) if rid in _clause_robots(c)] for rid in ids
+    }
 
     def move(rid: int, cell: tuple[int, int], box: Box) -> None:
         cells[rid], boxes[rid], rects[rid] = cell, box, Rect(*box)
 
     def record(step: int) -> StepRecord:
-        violations = violated(clauses)
+        violations = sum([t(boxes) for t in tests])
         return StepRecord(
             step,
             tuple(
@@ -647,13 +425,13 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
         moved = False
         # leader: strict greedy descent
         li, lj = cells[leader]
-        best = field.value(li, lj)
+        best = value[lj, li]
         best_cell = None
         for di, dj in _LEADER_MOVES:
             ci, cj = li + di, lj + dj
-            if field.is_blocked(ci, cj):
+            if not (0 <= ci < nx and 0 <= cj < ny) or blocked[cj, ci]:
                 continue
-            v = field.value(ci, cj)
+            v = value[cj, ci]
             if v < best - _EPS:
                 best, best_cell = v, (ci, cj)
         if best_cell is not None:
@@ -662,15 +440,19 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
         # followers: repair first, then advance; each trial move takes the
         # follower's own slot in boxes, which is restored afterwards
         for rid in ids[1:]:
-            here = cells[rid]
+            here = hi, hj = cells[rid]
             own = boxes[rid]
+            weighed = naming[rid]
             chosen = None
             for di, dj in _FOLLOWER_MOVES:
-                cell = (here[0] + di, here[1] + dj)
-                if field.is_blocked(*cell):
+                ci, cj = cell = hi + di, hj + dj
+                if not (0 <= ci < nx and 0 <= cj < ny) or blocked[cj, ci]:
                     continue
                 boxes[rid] = box = box_at(rid, cell)
-                score = (violated(naming[rid]), field.value(*cell))
+                bad = 0
+                for t in weighed:
+                    bad += t(boxes)
+                score = (bad, value[cj, ci])
                 # earlier moves win ties, so only a strictly lower score replaces
                 if chosen is None or score < chosen[0]:
                     chosen = (score, cell, box)

@@ -1,6 +1,7 @@
 """Rectangle similarity, formations, potential fields, navigation."""
 
 import math
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from mereoml import (
     write_trajectory_csv,
     write_trajectory_svg,
 )
+from mereoml.formation import _compile
 
 
 def sq(cx, cy, half=0.05):
@@ -515,6 +517,72 @@ def test_potential_field_matches_the_reference_on_the_shipped_scene():
     assert_field_matches_reference(load_world("data/corridor_world.txt"))
 
 
+def open_world(nx, ny, goal, obstacles=()):
+    """A unit-cell world of nx x ny cells with the given goal and no robots."""
+    return World(Rect(0, 0, nx, ny), tuple(obstacles), goal, 1.0, ())
+
+
+@pytest.mark.parametrize(
+    "world",
+    [
+        # one cell, one row and one column: steps across every edge
+        open_world(1, 1, Rect(0, 0, 1, 1)),
+        open_world(7, 1, Rect(3, 0, 4, 1)),
+        open_world(1, 7, Rect(0, 3, 1, 4)),
+        open_world(7, 1, Rect(6, 0, 7, 1)),
+        open_world(1, 7, Rect(0, 0, 1, 1)),
+        # goals in the first and the last column, where a flat step of one
+        # cell would wrap to the neighbouring row
+        open_world(5, 4, Rect(0, 1, 1, 3)),
+        open_world(5, 4, Rect(4, 0, 5, 4)),
+        open_world(5, 4, Rect(4, 3, 5, 4)),
+        open_world(5, 4, Rect(0, 0, 1, 1)),
+        # a goal walled off by obstacles, and a wall along a row edge
+        open_world(6, 5, Rect(2, 2, 3, 3), [Rect(1, 1, 4, 2), Rect(1, 3, 4, 4),
+                                            Rect(1, 2, 2, 3), Rect(3, 2, 4, 3)]),
+        open_world(6, 5, Rect(5, 0, 6, 1), [Rect(0, 0, 1, 5), Rect(4, 1, 6, 2)]),
+        # a goal covering every cell, and one covering every free cell
+        open_world(4, 3, Rect(0, 0, 4, 3)),
+        open_world(4, 3, Rect(0, 0, 2, 3), [Rect(2, 0, 4, 3)]),
+    ],
+    ids=[
+        "1x1", "row", "column", "row-goal-at-end", "column-goal-at-start",
+        "goal-in-first-column", "goal-is-last-column", "goal-in-last-cell",
+        "goal-in-first-cell", "walled-goal", "wall-on-an-edge",
+        "goal-covers-all", "goal-covers-all-free",
+    ],
+)
+def test_frontier_fill_matches_the_reference_on_edge_cases(world):
+    assert_field_matches_reference(world)
+
+
+def test_frontier_fill_with_every_cell_blocked():
+    # an inflate as wide as the world blocks every cell, the goal included
+    world = open_world(5, 3, Rect(2, 1, 3, 2))
+    for inflate in (2.0, 3.0):
+        field = build_potential(world, inflate)
+        blocked, values = ref_potential(world, inflate)
+        assert field.blocked.all() and np.array_equal(field.blocked, blocked)
+        assert np.isinf(field.values).all() and np.array_equal(field.values, values)
+
+
+def test_potential_field_memory_stays_linear_in_the_cells():
+    # an open 512 x 512 grid with a corner goal: 1023 distance layers
+    n = 512
+    world = open_world(n, n, Rect(0, 0, 1, 1))
+    build_potential(open_world(2, 2, Rect(0, 0, 1, 1)))
+    tracemalloc.start()
+    try:
+        field = build_potential(world)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.values[n - 1, n - 1] == 2 * (n - 1)
+    # the field keeps 8 B of values and 1 B of blocked per cell; the fill
+    # adds 4 B of step masks per cell and its short frontier lists
+    assert peak < 14 * n * n
+
+
 def test_cell_of_clamps():
     field = build_potential(corridor())
     assert field.cell_of(0.5, 0.5) == (0, 0)
@@ -850,6 +918,37 @@ def test_check_formation_matches_the_rect_reference_at_the_slack(nudge):
     poses = {0: sq(0.75, 1.0, 0.25), 1: sq(0, 0, 0.25), 2: sq(1.5, 2.0, 0.25)}
     formation = Formation("f", (MaxDist(1.25 + nudge, 0, Between(0, 1, 2)),))
     assert check_formation(formation, poses) == ref_check_formation(formation, poses)
+
+
+# a max-dist whose inner between fails, and a pose missing for a robot that
+# only the max-dist part names
+INNER_FAILS = (
+    Formation("f", (MaxDist(0.25, 3, Between(0, 1, 2)),)),
+    {0: sq(3, 3), 1: sq(0, 0), 2: sq(1, 1), 3: sq(0.5, 0.5)},
+)
+MISSING_POSE = (
+    Formation("f", (MaxDist(0.25, 3, Between(0, 1, 2)), NotBetween(1, 0, 2))),
+    {0: sq(0.5, 0.5), 1: sq(0, 0), 2: sq(1, 1)},
+)
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(posed_formations())
+@hypothesis.example(INNER_FAILS)
+@hypothesis.example(MISSING_POSE)
+def test_navigate_verdicts_agree_with_check_formation(case):
+    """The compiled test that navigate counts for each clause fails exactly
+    where check_formation reports that clause, and a missing pose it trips
+    on is the one check_formation names."""
+    formation, poses = case
+    boxes = {rid: (r.x1, r.y1, r.x2, r.y2) for rid, r in poses.items()}
+    for c in formation.constraints:
+        try:
+            verdict = _compile(c)(boxes)
+        except KeyError as missing:
+            verdict = (MereomlError, f"no pose for robot {missing.args[0]}")
+        checked = outcome(check_formation, Formation("f", (c,)), poses)
+        assert verdict == (bool(checked) if isinstance(checked, list) else checked)
 
 
 @strat.composite
