@@ -150,14 +150,6 @@ def member_bits(members: AbstractSet[int]) -> int:
     return sum(map((1).__lshift__, members))
 
 
-def _row_bits(matrix: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an integer bitset, bit x for column x."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    width, data = packed.shape[1], packed.tobytes()
-    rows = [data[i : i + width] for i in range(0, len(data), width or 1)]
-    return list(map(int.from_bytes, rows, repeat("little")))
-
-
 def _bits_matrix(bits: Sequence[int], n: int) -> np.ndarray:
     """Bitsets over n objects as a len(bits) x n matrix of 0/1 uint8."""
     width = (n + 7) // 8
@@ -265,16 +257,17 @@ def granule(center: int, r: Degree, inclusion: RoughInclusion) -> Granule:
 def all_granules(r: Degree, inclusion: RoughInclusion) -> tuple[Granule, ...]:
     """One granule per object, in object order.
 
-    With an inclusion offering ``membership_matrix``, the granules of the
-    radius are one family: the rows of that boolean matrix, each packed into
-    an integer bitset that its granule's :class:`MemberView` holds.  No
-    member set is built until one is asked for.
+    With an inclusion offering ``membership_bits``, the granules of the
+    radius are one family: the rows of its membership matrix, which it packs
+    block by block into integer bitsets without building the matrix, each
+    held by its granule's :class:`MemberView`.  No member set is built until
+    one is asked for.
     """
     universe = inclusion.system.objects
-    if not hasattr(inclusion, "membership_matrix"):
+    if not hasattr(inclusion, "membership_bits"):
         return tuple(granule(x, r, inclusion) for x in universe)
     _check_granule_args(r, inclusion)
-    rows = _row_bits(inclusion.membership_matrix(r))
+    rows = inclusion.membership_bits(r)
     return tuple(map(Granule, universe, repeat(r), map(MemberView, rows)))
 
 
@@ -459,6 +452,16 @@ def stratified_folds(
     return folds
 
 
+def _fold_scores(train: DecisionSystem, test: DecisionSystem, inclusion: str, grid):
+    """Per radius of ``grid``: correct test predictions and covering size."""
+    incl = make_inclusion(inclusion, train)
+    universe = frozenset(train.objects)
+    for r in grid:
+        covering = irreducible_covering(all_granules(r, incl), universe)
+        predicted = classify_many(granular_mirror(covering, train), test.system.rows)
+        yield sum(p == t for p, t in zip(predicted, test.decisions)), len(covering.granules)
+
+
 def run_decider(
     system: DecisionSystem,
     folds: int = 5,
@@ -470,46 +473,36 @@ def run_decider(
 
     Per fold, granules and the mirror come from the training part only; the
     report pools accuracy over all test parts.  Coverage is 1.0 by
-    construction of the nearest-row protocol.
+    construction of the nearest-row protocol.  Every fold's training part is
+    checked first; then the folds are swept one at a time, so only one
+    fold's tables and count matrix are alive.
     """
     m = len(system.features)
     if radii is None and m == 0:
         raise MereomlError("the table has no conditional features to build a radius grid from")
     grid = tuple(radii) if radii is not None else radius_grid(m)
     fold_ids = stratified_folds(system.decisions, folds, seed)
-    contexts = []
+    train_ids = []
     for f in range(folds):
-        train_ids = sorted(
-            i for g in range(folds) if g != f for i in fold_ids[g]
-        )
-        if not train_ids:
+        train_ids.append(sorted(i for g in range(folds) if g != f for i in fold_ids[g]))
+        if not train_ids[-1]:
             raise FoldError(f"fold {f} leaves no training objects")
-        train = system.subset(train_ids)
-        test = system.subset(fold_ids[f])
-        contexts.append(
-            (train, make_inclusion(inclusion, train), frozenset(train.objects), test)
-        )
-
+    # scores[f][k]: fold f's (correct, covering size) at radius grid[k]
+    scores = [
+        list(_fold_scores(system.subset(train), system.subset(test), inclusion, grid))
+        for train, test in zip(train_ids, fold_ids)
+    ]
+    total = sum(map(len, fold_ids))
     per_radius = []
-    for r in grid:
-        correct = total = 0
-        counts = []
-        reductions = []
-        for train, incl, universe, test in contexts:
-            covering = irreducible_covering(all_granules(r, incl), universe)
-            mirror = granular_mirror(covering, train)
-            predicted = classify_many(mirror, test.system.rows)
-            correct += sum(p == t for p, t in zip(predicted, test.decisions))
-            total += len(test.decisions)
-            counts.append(len(covering.granules))
-            reductions.append(len(covering.granules) / len(train.system.rows))
+    for r, column in zip(grid, zip(*scores)):
+        sizes = [size for _, size in column]
         per_radius.append(
             RadiusResult(
                 radius=r,
-                accuracy=correct / total,
+                accuracy=sum(correct for correct, _ in column) / total,
                 coverage=1.0,
-                granules=fmean(counts),
-                reduction=fmean(reductions),
+                granules=fmean(sizes),
+                reduction=fmean([size / len(train) for size, train in zip(sizes, train_ids)]),
             )
         )
     best = max(per_radius, key=lambda rr: (rr.accuracy, -rr.radius))

@@ -18,11 +18,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
+from . import dataset
 from .dataset import (
     DecisionSystem,
     InformationSystem,
@@ -242,7 +243,9 @@ class _TableInclusion(RoughInclusion):
     ``dis_counts`` counts the differing conditional features of every pair
     of objects, as one :func:`dis_count_matrix` product, on first use.  Each
     kind supplies ``_bounded(r)``, a matrix and a bound with degree(x, y) >= r
-    iff ``matrix[x, y] <= bound``; membership is that one comparison.
+    iff ``matrix[x, y] <= bound``; membership is that one comparison.  It is
+    read as a boolean row, a boolean matrix, or the matrix's rows as integer
+    bitsets, which are packed one row block at a time.
     """
 
     symmetric = True
@@ -265,6 +268,28 @@ class _TableInclusion(RoughInclusion):
         """Boolean matrix whose row c is ``membership_mask(c, r)``."""
         matrix, bound = self._bounded(r)
         return matrix <= bound
+
+    def membership_bits(self, r) -> list[int]:
+        """Row c of ``membership_matrix(r)`` as an integer bitset, bit y for column y.
+
+        Rows are compared and packed one block at a time, a block's boolean
+        taking at most ``COUNT_BLOCK_BYTES``, and each row's int is read from
+        its block's packed bytes, so no n x n boolean is built.
+        """
+        matrix, bound = self._bounded(r)
+        n = len(matrix)
+        width = (n + 7) // 8
+        rows = max(1, dataset.COUNT_BLOCK_BYTES // max(1, n))
+        out = []
+        for start in range(0, n, rows):
+            # only the block's packed bytes outlive this statement, and each
+            # row's slice of them is freed once its int is read
+            data = np.packbits(
+                matrix[start : start + rows] <= bound, axis=1, bitorder="little"
+            ).tobytes()
+            block = (data[i : i + width] for i in range(0, len(data), width))
+            out += map(int.from_bytes, block, repeat("little"))
+        return out
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from mereoml import (
     run_decider,
     stratified_folds,
 )
+from mereoml import granulation
 from mereoml.granulation import MemberView, RadiusResult, member_bits
 from strategies import decision_tables, granules_for, tables
 
@@ -387,6 +388,18 @@ def test_run_decider_empty_training_fold():
         run_decider(system, folds=2, seed=0)
 
 
+def test_run_decider_checks_every_fold_before_granule_work(monkeypatch):
+    # every object in the last fold: only that fold leaves no training objects
+    def no_granules(*args):
+        raise AssertionError("granule work before every fold was checked")
+
+    monkeypatch.setattr(granulation, "stratified_folds", lambda d, k, seed: [[], [], [0, 1, 2]])
+    monkeypatch.setattr(granulation, "all_granules", no_granules)
+    system = DecisionSystem(InformationSystem(("c",), (("x",), ("y",), ("x",))), "d", tuple("yny"))
+    with pytest.raises(FoldError, match="fold 2"):
+        run_decider(system, folds=3, seed=0)
+
+
 def test_run_decider_deterministic():
     base = InformationSystem(
         ("f", "g"),
@@ -697,3 +710,19 @@ def test_granular_mirror_memory_on_all_distinct_columns():
 def test_run_decider_memory_on_a_credit_sized_table():
     system = _credit_shaped(1, 690)
     assert _peak(run_decider, system, 5, 0) < 12 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["lukasiewicz", "exp"])
+def test_all_granules_memory_beside_the_counts(kind):
+    # the rows are packed block by block: no objects x objects boolean
+    n = 2000
+    inc = make_inclusion(kind, _credit_shaped(1, n))
+    inc.dis_counts
+    assert _peak(all_granules, Fraction(1, 7), inc) < n * n / 2
+
+
+def test_run_decider_holds_one_fold_at_a_time():
+    # five folds' count matrices alone would take 5 * (4n/5)^2 = 3.2 n^2 bytes
+    n = 2000
+    system = _credit_shaped(1, n)
+    assert _peak(run_decider, system, 5, 0, [Fraction(1, 2)]) < 2 * n * n

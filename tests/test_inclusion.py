@@ -516,3 +516,57 @@ def test_mask_boundary_is_exact():
     assert inc.degree(1, 0) == Fraction(1, 2)
     assert inc.membership_mask(0, Fraction(1, 2))[1]
     assert not inc.membership_mask(0, Fraction(1, 2) + Fraction(1, 100))[1]
+
+
+# --- membership rows as packed bitsets ---------------------------------------
+
+
+def _packed_rows(matrix):
+    """``np.packbits`` of each matrix row, little-endian, read as an int."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _table_inclusions(table):
+    """Lukasiewicz, uniform exp and explicit-weight exp over one table."""
+    m = len(table.features)
+    fw = FeatureWeights(table.features, tuple(1 / (j + 2) for j in range(m)))
+    return LukasiewiczInclusion(table), ExponentialInclusion(table), ExponentialInclusion(table, fw)
+
+
+def _assert_bits_are_packed_matrix_rows(table, radii):
+    for inc in _table_inclusions(table):
+        for r in radii:
+            bits = inc.membership_bits(r)
+            assert bits == _packed_rows(inc.membership_matrix(r)), (inc, r)
+
+
+def _some_radii(m):
+    return (0, 1e-300, Fraction(1, 10**400), 0.2, Fraction(1, 7), 0.5, 0.9, *radius_grid(m))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_membership_bits_are_the_packed_matrix_rows(n):
+    table = _seeded_table(n, 6)
+    _assert_bits_are_packed_matrix_rows(table, _some_radii(6))
+
+
+@hypothesis.given(tables(max_objects=20), strat.data())
+def test_membership_bits_match_the_matrix_on_any_table(table, data):
+    m = len(table.features)
+    r = data.draw(
+        strat.one_of(
+            strat.sampled_from([Fraction(k, m) for k in range(m + 1)]),
+            strat.floats(0, 1, allow_nan=False),
+        )
+    )
+    _assert_bits_are_packed_matrix_rows(table, [r])
+
+
+@pytest.mark.parametrize("block_bytes", [1, 200, 1000])
+def test_membership_bits_across_row_blocks(monkeypatch, block_bytes):
+    # 65 rows take one row a block, then 3 rows a block with a short last
+    # block, then 15 rows a block
+    table = _seeded_table(65, 6)
+    monkeypatch.setattr(mereoml.dataset, "COUNT_BLOCK_BYTES", block_bytes)
+    _assert_bits_are_packed_matrix_rows(table, _some_radii(6))
