@@ -213,7 +213,8 @@ def load_world(path: str | Path) -> World:
 
 
 #: Most cells a world grid may have; building such a field peaks at about
-#: 52 MiB (13 B per cell: 8 of values, 1 blocked, 4 of step masks).
+#: 40 MiB (10 B per cell: 8 of values and 1 unseen on the padded grid, 1
+#: blocked); one cell wide or tall, the padding triples the first two.
 MAX_CELLS = 1 << 22
 
 
@@ -255,28 +256,22 @@ class PotentialField:
             ~self.blocked & np.outer((g.y1 <= ys) & (ys <= g.y2), (g.x1 <= xs) & (xs <= g.x2))
         )
         # breadth-first fill one distance layer at a time, 4-neighbour steps,
-        # over the flat indices of the layer's cells.  The steps are -1, +1,
-        # -nx and +nx, with +1 and +nx written less the cell count, so that
-        # each target is an index in [-size, size) naming a cell; a step
-        # across a grid edge lands on the opposite edge.  Row k of ``enter``
-        # marks the cells step k may still enter: free, not yet reached, and
-        # not on the edge where its steps across an edge land.
-        size = self.nx * self.ny
-        offsets = np.array([[-1], [1 - size], [-self.nx], [self.nx - size]])
-        enter = np.empty((4, self.ny, self.nx), dtype=bool)
-        np.logical_not(self.blocked, out=enter[0])
-        enter[1:] = enter[0]
-        enter[0, :, -1] = enter[1, :, 0] = enter[2, -1] = enter[3, 0] = False
-        enter = enter.reshape(4, size)
-        directions = np.arange(4)[:, None]
-        values = np.full(size, math.inf)
-        enter[:, frontier] = False
+        # on the flat indices of the grid padded by one blocked cell per side,
+        # where cell f is f + 2 * (f // nx) + w + 1; ``unseen`` marks the free
+        # cells no layer has reached
+        w = self.nx + 2
+        unseen = np.zeros((self.ny + 2) * w, dtype=bool)
+        np.logical_not(self.blocked, out=unseen.reshape(-1, w)[1:-1, 1:-1])
+        values = np.full(unseen.size, math.inf)
+        frontier += frontier // self.nx * 2 + w + 1
+        offsets = np.array([[-1], [1], [-w], [w]])
+        unseen[frontier] = False
         d = 0
         while frontier.size:
             values[frontier] = d
-            reached = frontier + offsets
-            reached = reached[enter[directions, reached]] % size
-            enter[:, reached] = False
+            reached = (frontier + offsets).ravel()
+            reached = reached[unseen[reached]]
+            unseen[reached] = False
             # a cell reached from two sides is listed twice: each copy writes
             # its position into the cell's value, which the next layer
             # overwrites, and only the copy whose position stays is kept
@@ -284,7 +279,7 @@ class PotentialField:
             values[reached] = order
             frontier = reached[values[reached] == order]
             d += 1
-        self.values = values.reshape(self.ny, self.nx)
+        self.values = values.reshape(-1, w)[1:-1, 1:-1]
 
     def center(self, i: int, j: int) -> tuple[float, float]:
         return (
@@ -437,31 +432,38 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
         if best_cell is not None:
             move(leader, best_cell, box_at(leader, best_cell))
             moved = True
-        # followers: repair first, then advance; each trial move takes the
-        # follower's own slot in boxes, which is restored afterwards
+        # followers: repair first, then advance.  Trials run in (potential,
+        # move preference) order, so a later one wins only with fewer
+        # violations: each is counted until it ties the fewest so far, and one
+        # with none ends the turn.  A trial takes the follower's slot in boxes
         for rid in ids[1:]:
             here = hi, hj = cells[rid]
             own = boxes[rid]
             weighed = naming[rid]
-            chosen = None
-            for di, dj in _FOLLOWER_MOVES:
-                ci, cj = cell = hi + di, hj + dj
-                if not (0 <= ci < nx and 0 <= cj < ny) or blocked[cj, ci]:
-                    continue
+            trials = []
+            for k, (di, dj) in enumerate(_FOLLOWER_MOVES):
+                ci, cj = hi + di, hj + dj
+                if 0 <= ci < nx and 0 <= cj < ny and not blocked[cj, ci]:
+                    trials.append((value[cj, ci], k, (ci, cj)))
+            trials.sort()
+            fewest, chosen = math.inf, None
+            for _, _, cell in trials:
                 boxes[rid] = box = box_at(rid, cell)
                 bad = 0
                 for t in weighed:
                     bad += t(boxes)
-                score = (bad, value[cj, ci])
-                # earlier moves win ties, so only a strictly lower score replaces
-                if chosen is None or score < chosen[0]:
-                    chosen = (score, cell, box)
+                    if bad == fewest:
+                        break
+                else:
+                    fewest, chosen = bad, (cell, box)
+                    if not bad:
+                        break
             boxes[rid] = own
             if chosen is None:
                 raise MereomlError(
                     f"robot {rid} is boxed in: its cell and all eight neighbours are blocked"
                 )
-            _, cell, box = chosen
+            cell, box = chosen
             if cell != here:
                 moved = True
                 move(rid, cell, box)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 import shlex
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -311,6 +312,19 @@ def propagate(network: Network, inputs: Sequence[Sequence[str]]) -> DegreeTrace:
     return DegreeTrace(tuple(steps), last.target, last.degree)
 
 
+#: a quote, an escape, a comment, or whitespace other than space and tab:
+#: a line holding none of them splits on whitespace as shlex would split it
+_SHELL_SYNTAX = re.compile(r"['\"\\#]|[^\S \t]")
+
+
+def _words(raw: str) -> list[str]:
+    """The words shlex makes of a net line, comments dropped."""
+    if _SHELL_SYNTAX.search(raw):
+        # an unclosed quote is a malformed line too
+        return shlex.split(raw, comments=True)
+    return raw.split()
+
+
 def load_network(path: str | Path) -> Network:
     """Read a network from a line-oriented description file.
 
@@ -361,8 +375,7 @@ def load_network(path: str | Path) -> Network:
 
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         try:
-            # an unclosed quote is a malformed line too
-            words = shlex.split(raw, comments=True)
+            words = _words(raw)
             if not words:
                 continue
             directive, args = words[0], words[1:]

@@ -1,6 +1,9 @@
 """Rectangle similarity, formations, potential fields, navigation."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
 from pathlib import Path
@@ -10,6 +13,7 @@ import hypothesis.strategies as strat
 import numpy as np
 import pytest
 
+import mereoml.geometry
 from mereoml import (
     Between,
     Formation,
@@ -1008,6 +1012,66 @@ def test_navigate_matches_the_rect_reference_in_a_shelf_warehouse(tmp_path, jitt
     log = navigate(world, formation)
     assert log.status == "goal_reached"
     assert (log.status, log.steps) == trajectory(ref_navigate, world, formation)
+
+
+def test_navigate_stops_counting_a_trial_once_it_cannot_win(monkeypatch, tmp_path):
+    calls = [0]
+    compile_clause = mereoml.geometry._compile
+
+    def counting(c):
+        test = compile_clause(c)
+
+        def counted(boxes):
+            calls[0] += 1
+            return test(boxes)
+
+        return counted
+
+    monkeypatch.setattr(mereoml.geometry, "_compile", counting)
+    path = tmp_path / "w.txt"
+    path.write_text(shelf_warehouse((0,) * 12), encoding="utf-8")
+    world = load_world(path)
+    formation = parse_formation(Path("data/cross.frm").read_text(encoding="utf-8"))
+    log = navigate(world, formation)
+    assert (log.status, len(log.steps)) == ("goal_reached", 150)
+    # 5,879 calls; scoring every clause of every allowed trial takes 13,204
+    assert calls[0] < 7000
+
+
+def test_navigate_breaks_a_tie_of_violations_and_potential_by_move_preference():
+    # robot 1 violates its two clauses wherever it stands; the wall east of
+    # it leaves moves (1, 1) and (1, -1) the lowest potential, and (1, 1)
+    # comes first in move preference, though (1, -1) names the lower cell
+    world = World(
+        Rect(0, 0, 8, 5),
+        (Rect(1, 2, 2, 3),),
+        Rect(7, 0, 8, 5),
+        1.0,
+        ((0, sq(0.5, 4.5, 0.25)), (1, sq(0.5, 2.5, 0.25))),
+    )
+    formation = Formation("f", (NotBetween(1, 1, 1), NotBetween(1, 1, 1)))
+    log = navigate(world, formation, 10)
+    assert log.steps[1].entries[1].rect.center == (1.5, 3.5)
+    assert all(rec.entries[1].violations == 2 for rec in log.steps)
+    assert (log.status, log.steps) == trajectory(ref_navigate, world, formation, 10)
+
+
+def test_simulator_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, which raises the peak
+    # memory of every process that runs the simulator
+    script = (
+        "import sys; from pathlib import Path; import mereoml as m; "
+        "w = m.load_world('data/corridor_world.txt'); m.build_potential(w, 0.1); "
+        "m.navigate(w, m.parse_formation(Path('data/cross.frm').read_text())); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(mereoml.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert fresh.stdout == "False\n"
 
 
 # the cross, but each max-dist bounds a follower its between clause does

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import shlex
 import tracemalloc
 from fractions import Fraction
 
@@ -360,6 +361,31 @@ def test_load_network_errors(tmp_path, text, fragment):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(NetworkError, match=fragment):
         load_network(path)
+
+
+# quotes, escapes, comments and the whitespace that str.split takes and
+# shlex does not
+NET_LINE_CHARS = strat.sampled_from(
+    list("ab0 \t'\"#\\\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000")
+)
+
+
+def split_outcome(split, line):
+    try:
+        return split(line)
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+@hypothesis.settings(max_examples=500)
+@hypothesis.given(strat.text(NET_LINE_CHARS) | strat.text())
+@hypothesis.example("object a 'b c' # d")
+@hypothesis.example("object 'a")
+@hypothesis.example("object a\xa0b")
+def test_net_line_words_are_the_shlex_words(line):
+    assert split_outcome(mereoml.net._words, line) == split_outcome(
+        lambda text: shlex.split(text, comments=True), line
+    )
 
 
 # --- implicit product universes against the eager construction -------------
