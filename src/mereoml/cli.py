@@ -109,7 +109,7 @@ def _add_table_flags(p: argparse.ArgumentParser, need_decision: bool) -> None:
 def _cmd_load(args) -> int:
     system = _load_table(args)
     payload = {
-        "objects": len(system.system.rows) if args.decision else len(system.rows),
+        "objects": len(system.objects),
         "features": len(system.features),
     }
     if args.decision:
@@ -117,6 +117,15 @@ def _cmd_load(args) -> int:
         payload["decision_values"] = len(system.decision_values)
     _emit(payload)
     return 0
+
+
+def _covering(system, radius: str, kind: str):
+    """The irreducible covering of the table's granules at one radius."""
+    incl = granulation.make_inclusion(kind, system)
+    return granulation.irreducible_covering(
+        granulation.all_granules(_parse_radius(radius), incl),
+        frozenset(system.objects),
+    )
 
 
 def _cmd_classify(args) -> int:
@@ -151,11 +160,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_granulate(args) -> int:
     system = _load_table(args)
-    incl = granulation.make_inclusion(args.inclusion, system)
-    covering = granulation.irreducible_covering(
-        granulation.all_granules(_parse_radius(args.radius), incl),
-        frozenset(system.objects),
-    )
+    covering = _covering(system, args.radius, args.inclusion)
     mirror = granulation.granular_mirror(covering, system)
     lines = [",".join(mirror.features + (system.decision,))]
     for row, d in zip(mirror.rows, mirror.decisions):
@@ -173,11 +178,7 @@ def _cmd_logic(args) -> int:
     radius_text, _, kind = args.granules_from.partition(",")
     if not kind:
         raise MereomlError("--granules-from takes radius,inclusion (e.g. 2/3,lukasiewicz)")
-    incl = granulation.make_inclusion(kind, system)
-    covering = granulation.irreducible_covering(
-        granulation.all_granules(_parse_radius(radius_text), incl),
-        frozenset(system.objects),
-    )
+    covering = _covering(system, radius_text, kind)
     formula = logic.parse_formula(args.eval, system, allow_unseen=True)
     mode = logic.NuMode.NU3 if args.mode == "nu3" else logic.NuMode.NUL
     rows = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -23,7 +22,8 @@ from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from .dataset import DecisionSystem, EncodedTable, dis_count_matrix
+from .dataset import DecisionSystem, EncodedTable, MemberView, dis_count_matrix
+from .dataset import member_bits, pack_rows, unpack_rows
 from .errors import FoldError, MereomlError, ParameterError
 from .inclusion import (
     Degree,
@@ -51,116 +51,13 @@ def make_inclusion(kind: str, system) -> RoughInclusion:
 class Granule:
     """All objects whose degree of containment in the center reaches ``radius``.
 
-    ``members`` is a frozenset, or a :class:`MemberView` of the granule's row
-    in a membership matrix; the two are interchangeable as sets.
+    :func:`granule` and :func:`all_granules` hold ``members`` as a
+    :class:`MemberView` of their bitset; any set of the same members will do.
     """
 
     center: int
     radius: Degree
     members: AbstractSet[int]
-
-
-def _plain(other) -> frozenset | set | None:
-    """``other`` as a built-in set, or None if it is not a set at all."""
-    if isinstance(other, MemberView):
-        return other.frozen
-    if isinstance(other, (set, frozenset)):
-        return other
-    return frozenset(other) if isinstance(other, Set) else None
-
-
-def _on_frozen(op):
-    """A set operator applied to the view's frozenset and a built-in set."""
-
-    def method(self, other):
-        other = _plain(other)
-        return NotImplemented if other is None else op(self.frozen, other)
-
-    return method
-
-
-class MemberView(Set):
-    """A granule's members as a read-only set view of its row's bitset.
-
-    ``bits`` has bit x set iff object x is a member.  ``len`` is its
-    popcount and :func:`member_bits` reads it as is, so neither decodes a
-    member.  The frozenset of members is built on first use by anything
-    else; comparisons and ``&``, ``|``, ``-``, ``^`` are those of that
-    frozenset, so a view equals and hashes like the frozenset it stands for
-    and returns plain frozensets (or sets, with a ``set`` on the left).
-    """
-
-    __slots__ = ("bits", "_frozen")
-
-    def __init__(self, bits: int):
-        self.bits = bits
-        self._frozen = None
-
-    @property
-    def frozen(self) -> frozenset[int]:
-        if self._frozen is None:
-            self._frozen = frozenset(_bit_list(self.bits))
-        return self._frozen
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, x) -> bool:
-        if type(x) is int:
-            return x >= 0 and bool(self.bits >> x & 1)
-        return x in self.frozen
-
-    def __iter__(self):
-        return iter(self.frozen)
-
-    def __eq__(self, other):
-        if isinstance(other, MemberView):
-            return self.bits == other.bits
-        other = _plain(other)
-        return NotImplemented if other is None else self.frozen == other
-
-    def __hash__(self) -> int:
-        return hash(self.frozen)
-
-    def __repr__(self) -> str:
-        return f"MemberView({_bit_list(self.bits)})"
-
-    def isdisjoint(self, other) -> bool:
-        return self.frozen.isdisjoint(other)
-
-    __le__ = _on_frozen(lambda s, o: s <= o)
-    __lt__ = _on_frozen(lambda s, o: s < o)
-    __ge__ = _on_frozen(lambda s, o: s >= o)
-    __gt__ = _on_frozen(lambda s, o: s > o)
-    __and__ = _on_frozen(lambda s, o: s & o)
-    __or__ = _on_frozen(lambda s, o: s | o)
-    __sub__ = _on_frozen(lambda s, o: s - o)
-    __xor__ = _on_frozen(lambda s, o: s ^ o)
-    __rand__ = _on_frozen(lambda s, o: o & s)
-    __ror__ = _on_frozen(lambda s, o: o | s)
-    __rsub__ = _on_frozen(lambda s, o: o - s)
-    __rxor__ = _on_frozen(lambda s, o: o ^ s)
-
-
-def member_bits(members: AbstractSet[int]) -> int:
-    """The members as an integer bitset: bit x is set iff object x is a member."""
-    if isinstance(members, MemberView):
-        return members.bits
-    # a set's members are distinct, so adding their bits sets each once
-    return sum(map((1).__lshift__, members))
-
-
-def _bits_matrix(bits: Sequence[int], n: int) -> np.ndarray:
-    """Bitsets over n objects as a len(bits) x n matrix of 0/1 uint8."""
-    width = (n + 7) // 8
-    data = b"".join(b.to_bytes(width, "little") for b in bits)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(bits), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
-
-
-def _bit_list(bits: int) -> list[int]:
-    """The set bits of ``bits``, ascending."""
-    return np.flatnonzero(_bits_matrix([bits], bits.bit_length())[0]).tolist()
 
 
 @dataclass(frozen=True)
@@ -246,12 +143,10 @@ def granule(center: int, r: Degree, inclusion: RoughInclusion) -> Granule:
     """
     _check_granule_args(r, inclusion)
     if hasattr(inclusion, "membership_mask"):
-        mask = inclusion.membership_mask(center, r)
-        members = frozenset(int(i) for i in np.nonzero(mask)[0])
+        bits = pack_rows(inclusion.membership_mask(center, r)[None])[0]
     else:
-        universe = inclusion.system.objects
-        members = frozenset(y for y in universe if inclusion.degree(y, center) >= r)
-    return Granule(center, r, members)
+        bits = sum(1 << y for y in inclusion.system.objects if inclusion.degree(y, center) >= r)
+    return Granule(center, r, MemberView(bits))
 
 
 def all_granules(r: Degree, inclusion: RoughInclusion) -> tuple[Granule, ...]:
@@ -295,7 +190,7 @@ def irreducible_covering(granules: Sequence[Granule], universe: frozenset[int]) 
             chosen.append(i)
             uncovered &= ~bits[i]
     if uncovered:
-        raise MereomlError(f"granules cannot cover objects {_bit_list(uncovered)}")
+        raise MereomlError(f"granules cannot cover objects {sorted(MemberView(uncovered))}")
     strays = [(bits[i] & ~whole) != 0 for i in chosen]
     kept_strays = sum(strays)
     earlier = list(accumulate((bits[i] for i in chosen), or_, initial=0))
@@ -367,7 +262,7 @@ def granular_mirror(
 ) -> GranularReflection:
     """Vote each granule into a single mirror row (conditional and decision).
 
-    The covering's member bitsets become one granules x objects 0/1 matrix.
+    The covering's member bitsets unpack to one granules x objects 0/1 matrix.
     That matrix times a one-hot of each column's codes counts each token in
     each granule, and ``argmax`` picks the winner, ties going to the
     smallest token as in :func:`majority_value`.  The mirror keeps the voted
@@ -382,7 +277,7 @@ def granular_mirror(
     bits = [member_bits(g.members) for g in covering.granules]
     if max(bits).bit_length() > n:
         raise MereomlError(f"the covering reaches objects outside the table's {n} rows")
-    membership = _bits_matrix(bits, n).astype(np.float32)
+    membership = unpack_rows(bits, n).astype(np.float32)
     rows = _vote(membership, system.system.encoded)
     decisions = _vote(membership, system.decisions_encoded)
     return GranularReflection(
@@ -481,6 +376,8 @@ def run_decider(
     if radii is None and m == 0:
         raise MereomlError("the table has no conditional features to build a radius grid from")
     grid = tuple(radii) if radii is not None else radius_grid(m)
+    if not grid:
+        raise ParameterError("need at least one radius")
     fold_ids = stratified_folds(system.decisions, folds, seed)
     train_ids = []
     for f in range(folds):

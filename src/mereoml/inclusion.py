@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -31,6 +31,7 @@ from .dataset import (
     dis,
     dis_count_matrix,
     ind_fraction,
+    pack_rows,
     row_dis_count,
 )
 from .errors import DegreeUnderflow, MereomlError
@@ -244,8 +245,9 @@ class _TableInclusion(RoughInclusion):
     of objects, as one :func:`dis_count_matrix` product, on first use.  Each
     kind supplies ``_bounded(r)``, a matrix and a bound with degree(x, y) >= r
     iff ``matrix[x, y] <= bound``; membership is that one comparison.  It is
-    read as a boolean row, a boolean matrix, or the matrix's rows as integer
-    bitsets, which are packed one row block at a time.
+    read as a boolean row for one center, or as every row's integer bitset,
+    packed one row block at a time.  An object id outside the table raises
+    :class:`UnknownObject`.
     """
 
     symmetric = True
@@ -261,34 +263,21 @@ class _TableInclusion(RoughInclusion):
 
     def membership_mask(self, center: int, r) -> np.ndarray:
         """Boolean row over all objects: degree(y, center) >= r."""
+        self._table._check_object(center)
         matrix, bound = self._bounded(r)
         return matrix[center] <= bound
 
-    def membership_matrix(self, r) -> np.ndarray:
-        """Boolean matrix whose row c is ``membership_mask(c, r)``."""
-        matrix, bound = self._bounded(r)
-        return matrix <= bound
-
     def membership_bits(self, r) -> list[int]:
-        """Row c of ``membership_matrix(r)`` as an integer bitset, bit y for column y.
+        """Row c as an integer bitset, bit y set iff degree(y, c) >= r.
 
         Rows are compared and packed one block at a time, a block's boolean
-        taking at most ``COUNT_BLOCK_BYTES``, and each row's int is read from
-        its block's packed bytes, so no n x n boolean is built.
+        taking at most ``COUNT_BLOCK_BYTES``, so no n x n boolean is built.
         """
         matrix, bound = self._bounded(r)
-        n = len(matrix)
-        width = (n + 7) // 8
-        rows = max(1, dataset.COUNT_BLOCK_BYTES // max(1, n))
+        rows = max(1, dataset.COUNT_BLOCK_BYTES // max(1, len(matrix)))
         out = []
-        for start in range(0, n, rows):
-            # only the block's packed bytes outlive this statement, and each
-            # row's slice of them is freed once its int is read
-            data = np.packbits(
-                matrix[start : start + rows] <= bound, axis=1, bitorder="little"
-            ).tobytes()
-            block = (data[i : i + width] for i in range(0, len(data), width))
-            out += map(int.from_bytes, block, repeat("little"))
+        for start in range(0, len(matrix), rows):
+            out += pack_rows(matrix[start : start + rows] <= bound)
         return out
 
 
@@ -304,6 +293,7 @@ class LukasiewiczInclusion(_TableInclusion):
     system: InformationSystem | DecisionSystem
 
     def degree(self, x: int, y: int) -> Fraction:
+        self._table._check_object(x, y)
         m = len(self._table.features)
         return Fraction(m - int(self.dis_counts[x, y]), m)
 
@@ -351,6 +341,7 @@ class ExponentialInclusion(_TableInclusion):
         return out
 
     def degree(self, x: int, y: int) -> float:
+        self._table._check_object(x, y)
         if self.weights is None:
             s = float(self._sums_by_count[self.dis_counts[x, y]])
         else:

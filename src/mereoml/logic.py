@@ -22,9 +22,8 @@ from typing import AbstractSet, Iterable, Union
 
 import numpy as np
 
-from .dataset import DecisionSystem, InformationSystem
+from .dataset import DecisionSystem, InformationSystem, MemberView, member_bits, pack_rows
 from .errors import MereomlError
-from .granulation import MemberView, member_bits
 
 
 class ParseError(MereomlError):
@@ -279,8 +278,7 @@ def meaning(formula: Formula, system) -> MemberView:
     :class:`MemberView` of the mask's bitset, which equals and hashes like
     the frozenset of its members.
     """
-    packed = np.packbits(_mask(formula, system), bitorder="little")
-    return MemberView(int.from_bytes(packed.tobytes(), "little"))
+    return MemberView(pack_rows(_mask(formula, system)[None])[0])
 
 
 def _mask(formula: Formula, system) -> np.ndarray:

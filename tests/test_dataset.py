@@ -1,5 +1,6 @@
 """Table ingestion, discretization and the discernibility primitives."""
 
+import ast
 import csv
 import io
 import tempfile
@@ -30,8 +31,9 @@ from mereoml import (
     load_csv,
     row_dis_count,
 )
+import mereoml
 from mereoml import dataset
-from mereoml.dataset import NA_VALUE, WIDE_COLUMN, dis_count_matrix
+from mereoml.dataset import NA_VALUE, WIDE_COLUMN, dis_count_matrix, pack_rows, unpack_rows
 from mereoml.errors import read_text
 from strategies import tables
 
@@ -517,3 +519,45 @@ def test_dis_count_matrix_stores_counts_in_the_narrowest_unsigned_dtype(wide_col
             counts = dis_count_matrix(codes, codes)
         assert counts.dtype == dtype
         assert counts.tolist() == [[0, m], [m, 0]]
+
+
+# --- object sets as integer bitsets ------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_pack_rows_round_trips_through_unpack_rows(n):
+    mask = np.random.default_rng(n).random((6, n)) < 0.5
+    mask[0], mask[1] = False, True
+    bits = pack_rows(mask)
+    assert bits == [sum(1 << x for x in range(n) if row[x]) for row in mask.tolist()]
+    assert unpack_rows(bits, n).tolist() == mask.astype(np.uint8).tolist()
+    assert pack_rows(mask[:0]) == []
+    assert unpack_rows([], n).shape == (0, n)
+
+
+def _package_imports(name):
+    """The mereoml modules that ``mereoml.<name>`` imports."""
+    source = Path(mereoml.__file__).with_name(f"{name}.py").read_text(encoding="utf-8")
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import (level 1) is one of the package itself
+            module = ".".join(filter(None, ["mereoml" if node.level else "", node.module]))
+            if module == "mereoml":
+                modules = [f"mereoml.{alias.name}" for alias in node.names]
+            else:
+                modules = [module]
+        else:
+            continue
+        found.update(m.split(".")[1] for m in modules if m.startswith("mereoml."))
+    return found
+
+
+def test_object_bitsets_sit_below_the_modules_that_read_them():
+    assert _package_imports("dataset") == {"errors"}
+    assert "granulation" not in _package_imports("logic")
+    assert "granulation" not in _package_imports("inclusion")
+    # the walker sees both forms of a package import
+    assert {"dataset", "errors", "mereo"} <= _package_imports("inclusion")

@@ -583,7 +583,8 @@ def test_potential_field_memory_stays_linear_in_the_cells():
         tracemalloc.stop()
     assert field.values[n - 1, n - 1] == 2 * (n - 1)
     # the field keeps 8 B of values and 1 B of blocked per cell; the fill
-    # adds 4 B of step masks per cell and its short frontier lists
+    # adds 1 B of unseen per cell and its short frontier index lists, so it
+    # peaks at about 10 B a cell
     assert peak < 14 * n * n
 
 

@@ -46,7 +46,8 @@ from mereoml import (
     stratified_folds,
 )
 from mereoml import granulation
-from mereoml.granulation import MemberView, RadiusResult, member_bits
+from mereoml.dataset import MemberView, member_bits
+from mereoml.granulation import RadiusResult
 from strategies import decision_tables, granules_for, tables
 
 
@@ -400,6 +401,15 @@ def test_run_decider_checks_every_fold_before_granule_work(monkeypatch):
         run_decider(system, folds=3, seed=0)
 
 
+def test_run_decider_rejects_no_radii_before_fold_work(monkeypatch):
+    def no_folds(*args):
+        raise AssertionError("fold work before the radii were checked")
+
+    monkeypatch.setattr(granulation, "stratified_folds", no_folds)
+    with pytest.raises(ParameterError, match="radius"):
+        run_decider(_credit_shaped(1, 20, m=3), radii=[])
+
+
 def test_run_decider_deterministic():
     base = InformationSystem(
         ("f", "g"),
@@ -655,6 +665,17 @@ def test_member_view_behaves_as_its_frozenset(s, t, mutable):
     g = Granule(3, Fraction(1, 2), v)
     h = Granule(3, Fraction(1, 2), s)
     assert g == h and h == g and hash(g) == hash(h)
+
+
+@pytest.mark.parametrize("kind", sorted(granulation.INCLUSION_KINDS))
+def test_granule_holds_a_view_of_its_mask(kind):
+    inc = make_inclusion(kind, _credit_shaped(1, 70, m=6, tokens=4))
+    for center in (0, 37, 69):
+        g = granule(center, Fraction(1, 2), inc)
+        mask = inc.membership_mask(center, Fraction(1, 2))
+        assert isinstance(g.members, MemberView)
+        assert g.members == frozenset(np.flatnonzero(mask).tolist())
+        assert g == all_granules(Fraction(1, 2), inc)[center]
 
 
 def test_granules_of_a_matrix_hold_views():

@@ -27,6 +27,7 @@ from mereoml import (
     LukasiewiczInclusion,
     MereomlError,
     ResidualInclusion,
+    UnknownObject,
     WeightFn,
     WeightRatioInclusion,
     complement,
@@ -427,6 +428,12 @@ def test_counts_hold_more_differing_features_than_int16():
     assert granule(0, 1, inc).members == frozenset({0})
 
 
+def _mask_matrix(inc, r):
+    """The boolean matrix whose row c is ``inc.membership_mask(c, r)``."""
+    rows = [inc.membership_mask(c, r) for c in inc.system.objects]
+    return np.array(rows, dtype=bool).reshape(len(rows), len(rows))
+
+
 def ref_dis_weight_sums(table, fw):
     """Pairwise weight sums of the differing features, one column at a time."""
     out = np.zeros((len(table.rows),) * 2)
@@ -443,7 +450,7 @@ def test_uniform_weight_sums_are_bit_equal_to_the_column_loop(n, m):
     assert inc.dis_weight_sums.tobytes() == ref.tobytes()
     for r in [*radius_grid(m), 0, 1e-300, 1]:
         expect = ref <= ExponentialInclusion._limit(r)
-        assert np.array_equal(inc.membership_matrix(r), expect), r
+        assert np.array_equal(_mask_matrix(inc, r), expect), r
         for center in range(n)[:1]:
             assert np.array_equal(inc.membership_mask(center, r), expect[center]), r
 
@@ -455,7 +462,7 @@ def test_explicit_weights_keep_their_own_sums():
     ref = ref_dis_weight_sums(table, fw)
     assert inc.dis_weight_sums.tobytes() == ref.tobytes()
     for r in (0, 0.2, 0.5, 0.9, 1):
-        assert np.array_equal(inc.membership_matrix(r), ref <= ExponentialInclusion._limit(r))
+        assert np.array_equal(_mask_matrix(inc, r), ref <= ExponentialInclusion._limit(r))
     assert inc.degree(3, 7) == exp_row_degree(table.rows[3], table.rows[7], fw)
 
 
@@ -464,7 +471,7 @@ def test_exponential_membership_memory_stays_below_four_bytes_a_pair():
     inc = ExponentialInclusion(_seeded_table(n, 14))
     tracemalloc.start()
     try:
-        matrix = inc.membership_matrix(0.5)
+        matrix = _mask_matrix(inc, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -489,6 +496,26 @@ def test_membership_masks_match_brute_force(table, data):
         [exp_inc.degree(y, 0) >= float(r) - 1e-12 for y in range(len(table.rows))]
     )
     assert (emask == eexpect).all()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        LukasiewiczInclusion,
+        ExponentialInclusion,
+        lambda t: ExponentialInclusion(t, FeatureWeights(t.features, (0.5, 0.25, 0.25))),
+    ],
+)
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_table_inclusions_reject_unknown_objects(make, bad):
+    inc = make(T3)
+    for x, y in ((bad, 0), (0, bad), (bad, bad)):
+        with pytest.raises(UnknownObject):
+            inc.degree(x, y)
+    with pytest.raises(UnknownObject):
+        inc.membership_mask(bad, Fraction(1, 2))
+    with pytest.raises(UnknownObject):
+        granule(bad, Fraction(1, 2), inc)
 
 
 def test_exponential_mask_at_zero_radius():
@@ -538,7 +565,7 @@ def _assert_bits_are_packed_matrix_rows(table, radii):
     for inc in _table_inclusions(table):
         for r in radii:
             bits = inc.membership_bits(r)
-            assert bits == _packed_rows(inc.membership_matrix(r)), (inc, r)
+            assert bits == _packed_rows(_mask_matrix(inc, r)), (inc, r)
 
 
 def _some_radii(m):

@@ -35,7 +35,7 @@ from mereoml import (
     rule_audit,
     satisfies,
 )
-from mereoml.granulation import MemberView, member_bits
+from mereoml.dataset import MemberView, member_bits
 from mereoml.logic import _mask
 from strategies import atoms_for, decision_tables, formulas_for, granules_for, tables
 
@@ -301,7 +301,9 @@ def test_meaning_is_a_bitset_view_equal_to_its_frozenset():
     m = meaning(Atom("p", "1"), TABLE)
     assert isinstance(m, MemberView) and m.bits == 0b11
     assert m == frozenset({0, 1}) and hash(m) == hash(frozenset({0, 1}))
-    assert meaning(Atom("p", "9"), InformationSystem(("p",), ())) == frozenset()
+    empty = InformationSystem(("p",), ())
+    for formula in (Atom("p", "9"), Not(Atom("p", "9"))):
+        assert meaning(formula, empty) == frozenset() and meaning(formula, empty).bits == 0
 
 
 def granule_forms(system):
