@@ -95,6 +95,12 @@ class EncodedTable:
             index.append(code_of)
         return cls(codes, tuple(vocab), tuple(index))
 
+    def decode(self) -> tuple[tuple[str, ...], ...]:
+        """The code rows as token rows, read through one flat vocabulary."""
+        tokens = np.array([t for column in self.vocab for t in column], dtype=object)
+        offsets = np.cumsum([0, *map(len, self.vocab)])[:-1]
+        return tuple(map(tuple, tokens[self.codes + offsets].tolist()))
+
     def lookup(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
         """Codes of outside rows in this vocabulary; -1 for unseen tokens."""
         codes = np.empty((len(rows), len(self.index)), dtype=self.codes.dtype)

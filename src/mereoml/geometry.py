@@ -185,13 +185,13 @@ def load_world(path: str | Path) -> World:
     obstacles: list[Rect] = []
     robots: list[tuple[int, Rect]] = []
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = raw.split("#", 1)[0].split()
+        if not words:
             continue
-        directive, *args = line.split()
-        if directive not in _DIRECTIVE_ARGS:
-            raise MereomlError(f"unknown directive {directive!r}")
+        directive, *args = words
         try:
+            if directive not in _DIRECTIVE_ARGS:
+                raise MereomlError(f"unknown directive {directive!r}")
             if len(args) != _DIRECTIVE_ARGS[directive]:
                 raise ValueError
             if directive == "cell":
@@ -206,6 +206,8 @@ def load_world(path: str | Path) -> World:
                 goal = Rect(*map(float, args))
         except ValueError:
             raise MereomlError(f"malformed world line {lineno}: {raw.strip()!r}") from None
+        except MereomlError as e:
+            raise MereomlError(f"world line {lineno}: {e}") from None
     if bounds is None or goal is None or cell is None:
         raise MereomlError("world file needs bounds, goal and cell lines")
     robots.sort(key=lambda pair: pair[0])
@@ -316,6 +318,8 @@ class LogEntry:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """The robots after one step: one entry per robot, in id order."""
+
     step: int
     entries: tuple[LogEntry, ...]
 
@@ -514,13 +518,12 @@ def write_trajectory_svg(log: NavigationLog, world: World, path: str | Path) -> 
     for o in world.obstacles:
         parts.append(rect_svg(o, "#999"))
     parts.append(rect_svg(world.goal, "#3c3", 0.5))
-    ids = [e.robot for e in log.steps[0].entries]
-    for k, rid in enumerate(ids):
+    # one robot's entries at every step, as each step lists the same robots
+    for k, track in enumerate(zip(*(rec.entries for rec in log.steps))):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
         points = []
-        for rec in log.steps:
-            r = next(e.rect for e in rec.entries if e.robot == rid)
-            px, py = pt(*r.center)
+        for e in track:
+            px, py = pt(*e.rect.center)
             points.append(f"{px:.1f},{py:.1f}")
         parts.append(
             f'<polyline points="{" ".join(points)}" fill="none" stroke="{color}" '

@@ -51,8 +51,8 @@ def make_inclusion(kind: str, system) -> RoughInclusion:
 class Granule:
     """All objects whose degree of containment in the center reaches ``radius``.
 
-    :func:`granule` and :func:`all_granules` hold ``members`` as a
-    :class:`MemberView` of their bitset; any set of the same members will do.
+    The package's granules hold ``members`` as a :class:`MemberView` of
+    their bitset; any set of the same members will do.
     """
 
     center: int
@@ -250,13 +250,6 @@ def _vote(membership: np.ndarray, table: EncodedTable) -> EncodedTable:
     return EncodedTable(codes, table.vocab, table.index)
 
 
-def _tokens(table: EncodedTable) -> tuple[tuple[str, ...], ...]:
-    """The code rows decoded back to token rows, through one flat vocabulary."""
-    tokens = np.array([t for column in table.vocab for t in column], dtype=object)
-    offsets = np.cumsum([0, *map(len, table.vocab)])[:-1]
-    return tuple(map(tuple, tokens[table.codes + offsets].tolist()))
-
-
 def granular_mirror(
     covering: Covering, system: DecisionSystem, strategy: str = "MV"
 ) -> GranularReflection:
@@ -283,8 +276,8 @@ def granular_mirror(
     return GranularReflection(
         covering,
         system.features,
-        _tokens(rows),
-        tuple(map(decisions.vocab[0].__getitem__, decisions.codes[:, 0].tolist())),
+        rows.decode(),
+        tuple(row[0] for row in decisions.decode()),
         strategy,
         rows,
         decisions,

@@ -22,13 +22,13 @@ import math
 import operator
 import re
 import shlex
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import CartesianRows, InformationSystem
-from .errors import NetworkError, read_text
+from .dataset import CartesianRows, InformationSystem, MemberView
+from .errors import MereomlError, NetworkError, read_text
 from .granulation import Granule
 from .inclusion import FeatureWeights, exp_row_degree, t_lukasiewicz
 from .logic import And, Formula
@@ -211,8 +211,8 @@ def fuse_granules(g_b: Granule, g_c: Granule, consumer: Agent) -> Granule:
     """Cartesian fusion of two producer granules inside the consumer universe."""
     if len(consumer.producers) != 2 or consumer.selectors is None:
         raise NetworkError(f"{consumer.name!r} does not fuse exactly two producers")
-    members = frozenset(
-        i
+    bits = sum(
+        1 << i
         for i, (xb, xc) in enumerate(consumer.selectors)
         if xb in g_b.members and xc in g_c.members
     )
@@ -223,7 +223,7 @@ def fuse_granules(g_b: Granule, g_c: Granule, consumer: Agent) -> Granule:
     ]
     if not centers:
         raise NetworkError("fused center row missing from the consumer universe")
-    return Granule(centers[0], fuse_degrees(g_b.radius, g_c.radius), members)
+    return Granule(centers[0], fuse_degrees(g_b.radius, g_c.radius), MemberView(bits))
 
 
 def fuse_formulas(phi_b: Formula, phi_c: Formula) -> Formula:
@@ -325,6 +325,35 @@ def _words(raw: str) -> list[str]:
     return raw.split()
 
 
+@dataclass
+class _AgentBlock:
+    """An agent's lines in a net file; ``producers`` only for an auto agent."""
+
+    line: int
+    name: str
+    producers: list[str] | None
+    features: tuple[str, ...] | None = None
+    rows: list[tuple[str, ...]] = field(default_factory=list)
+    targets: list[int] = field(default_factory=list)
+
+    def build(self, by_name: dict[str, Agent]) -> Agent:
+        """The block's agent, added to ``by_name``; an error names the block's line."""
+        try:
+            if self.producers is not None:
+                if unknown := [n for n in self.producers if n not in by_name]:
+                    raise NetworkError(f"unknown producer {unknown[0]!r}")
+                agent = consumer_from(self.name, [by_name[n] for n in self.producers])
+            elif self.features is None:
+                raise NetworkError(f"agent {self.name!r} has no features line")
+            else:
+                system = InformationSystem(self.features, tuple(self.rows))
+                agent = Agent(self.name, system, tuple(self.targets))
+        except MereomlError as e:
+            raise NetworkError(f"line {self.line}: {e}") from None
+        by_name[self.name] = agent
+        return agent
+
+
 def load_network(path: str | Path) -> Network:
     """Read a network from a line-oriented description file.
 
@@ -338,41 +367,13 @@ def load_network(path: str | Path) -> Network:
         agent NAME auto [P1 ...]   consumer fused from named producers
                                    (default: all agents of the previous layer)
 
+    All lines are read before any agent is built: a malformed line is
+    reported first, an agent that cannot be built at its ``agent`` line.
     Auto consumers take the full Cartesian product universe, held
     implicitly (see :func:`consumer_from`): loading never builds its rows,
     which are decoded on demand.
     """
-    layers: list[list[Agent]] = []
-    pending: dict | None = None
-    by_name: dict[str, Agent] = {}
-
-    def flush():
-        nonlocal pending
-        if pending is None:
-            return
-        if pending.get("auto"):
-            if not layers[:-1]:
-                raise NetworkError("auto agent needs a previous layer")
-            names = pending["producer_names"] or [a.name for a in layers[-2]]
-            try:
-                producers = [by_name[n] for n in names]
-            except KeyError as e:
-                raise NetworkError(f"unknown producer {e.args[0]!r}") from None
-            agent = consumer_from(pending["name"], producers)
-        else:
-            if pending["features"] is None:
-                raise NetworkError(f"agent {pending['name']!r} has no features line")
-            agent = Agent(
-                pending["name"],
-                InformationSystem(
-                    pending["features"], tuple(pending["rows"])
-                ),
-                tuple(pending["targets"]),
-            )
-        layers[-1].append(agent)
-        by_name[agent.name] = agent
-        pending = None
-
+    layers: list[list[_AgentBlock]] = []
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         try:
             words = _words(raw)
@@ -380,35 +381,31 @@ def load_network(path: str | Path) -> Network:
                 continue
             directive, args = words[0], words[1:]
             if directive == "layer":
-                flush()
                 layers.append([])
             elif directive == "agent":
-                flush()
                 if not layers:
                     raise NetworkError("agent before any layer line")
-                auto = len(args) >= 2 and args[1] == "auto"
-                pending = {
-                    "name": args[0],
-                    "auto": auto,
-                    "producer_names": args[2:] if auto else [],
-                    "features": None,
-                    "rows": [],
-                    "targets": [],
-                }
+                producers = None
+                if len(args) >= 2 and args[1] == "auto":
+                    if len(layers) < 2:
+                        raise NetworkError("auto agent needs a previous layer")
+                    producers = args[2:] or [b.name for b in layers[-2]]
+                layers[-1].append(_AgentBlock(lineno, args[0], producers))
             elif directive in ("features", "object", "target"):
-                if pending is None or pending["auto"]:
+                block = layers[-1][-1] if layers and layers[-1] else None
+                if block is None or block.producers is not None:
                     raise NetworkError(f"{directive!r} outside an explicit agent block")
                 if directive == "features":
-                    pending["features"] = tuple(args)
+                    block.features = tuple(args)
                 elif directive == "object":
-                    pending["rows"].append(tuple(args))
+                    block.rows.append(tuple(args))
                 else:
-                    pending["targets"].append(int(args[0]))
+                    block.targets.append(int(args[0]))
             else:
                 raise NetworkError(f"unknown directive {directive!r}")
         except (IndexError, ValueError):
             raise NetworkError(f"malformed line {lineno}: {raw.strip()!r}") from None
         except NetworkError as e:
             raise NetworkError(f"line {lineno}: {e}") from None
-    flush()
-    return Network(tuple(tuple(layer) for layer in layers))
+    by_name: dict[str, Agent] = {}
+    return Network(tuple(tuple(b.build(by_name) for b in blocks) for blocks in layers))

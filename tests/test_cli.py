@@ -697,6 +697,14 @@ SIM_ERROR_WORLDS = {
         "robot 3 1.4 2.4 1.6 2.6\nrobot 4 1.4 0.4 1.6 0.6\n",
         "cell size must be positive and finite, got nan",
     ),
+    "unknown-directive": (
+        "bounds 0 0 10 10\ncell 1\nfoo 1\ngoal 0 8 2 10\nrobot 0 1.4 1.4 1.6 1.6\n",
+        "world line 3: unknown directive 'foo'",
+    ),
+    "degenerate-obstacle": (
+        "bounds 0 0 10 10\ncell 1\nobstacle 2 2 1 1\ngoal 0 8 2 10\nrobot 0 1.4 1.4 1.6 1.6\n",
+        "world line 3: degenerate rectangle (2.0, 2.0, 1.0, 1.0)",
+    ),
 }
 
 

@@ -33,7 +33,14 @@ from mereoml import (
 )
 import mereoml
 from mereoml import dataset
-from mereoml.dataset import NA_VALUE, WIDE_COLUMN, dis_count_matrix, pack_rows, unpack_rows
+from mereoml.dataset import (
+    NA_VALUE,
+    WIDE_COLUMN,
+    EncodedTable,
+    dis_count_matrix,
+    pack_rows,
+    unpack_rows,
+)
 from mereoml.errors import read_text
 from strategies import tables
 
@@ -519,6 +526,17 @@ def test_dis_count_matrix_stores_counts_in_the_narrowest_unsigned_dtype(wide_col
             counts = dis_count_matrix(codes, codes)
         assert counts.dtype == dtype
         assert counts.tolist() == [[0, m], [m, 0]]
+
+
+# tokens a numpy string array would merge: they differ only by trailing NULs
+NUL_TOKENS = ("a", "a\x00", "a\x00\x00", "", "\x00", "b")
+
+
+@hypothesis.given(tables(min_objects=0, tokens=NUL_TOKENS))
+@hypothesis.example(InformationSystem((), ((), ())))
+def test_decode_gives_back_the_encoded_rows(table):
+    encoded = EncodedTable.from_rows(table.rows, len(table.features))
+    assert encoded.decode() == table.rows
 
 
 # --- object sets as integer bitsets ------------------------------------------

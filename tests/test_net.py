@@ -37,6 +37,7 @@ from mereoml import (
     t_lukasiewicz,
 )
 from mereoml.cli import main
+from mereoml.dataset import MemberView
 
 
 def agent_b():
@@ -185,6 +186,32 @@ def test_fuse_granules():
     assert fused.radius == t_lukasiewicz(Fraction(1, 2), Fraction(1))
     with pytest.raises(NetworkError):
         fuse_granules(g_b, g_c, agent_b())
+
+
+def _subsets(n):
+    return [frozenset(s) for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+
+
+def ref_fused_members(g_b, g_c, consumer):
+    """The fused members as a frozenset, by the per-row test."""
+    return frozenset(
+        i
+        for i, (xb, xc) in enumerate(consumer.selectors)
+        if xb in g_b.members and xc in g_c.members
+    )
+
+
+@pytest.mark.parametrize(
+    "selectors", [None, [(0, 0), (2, 1), (1, 1), (2, 0), (0, 1)]], ids=["product", "narrowed"]
+)
+def test_fuse_granules_gives_a_member_view_of_the_per_row_test(selectors):
+    b, c = agent_b(), agent_c()
+    top = consumer_from("top", [b, c], selectors=selectors)
+    for members_b, members_c in itertools.product(_subsets(3), _subsets(2)):
+        g_b, g_c = Granule(0, Fraction(1, 2), members_b), Granule(1, Fraction(1), members_c)
+        fused = fuse_granules(g_b, g_c, top)
+        assert isinstance(fused.members, MemberView)
+        assert fused.members == ref_fused_members(g_b, g_c, top)
 
 
 def test_fuse_granules_center_must_exist():
@@ -361,6 +388,32 @@ def test_load_network_errors(tmp_path, text, fragment):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(NetworkError, match=fragment):
         load_network(path)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("layer\nagent a\nobject 1\ntarget 0\nlayer\nagent top auto\n",
+         "line 2: agent 'a' has no features line"),
+        ("layer\nagent a\nfeatures f\nobject 1\ntarget 0\nlayer\nagent top auto a zz\n",
+         "line 7: unknown producer 'zz'"),
+        ("layer\nagent a\nfeatures f g\nobject 1\ntarget 0\n",
+         "line 2: row 0 has 1 cells, expected 2"),
+        ("layer\nagent a\nfeatures f\nobject 1\ntarget 3\n",
+         "line 2: agent 'a': target 3 outside universe"),
+        ("layer\nagent a\nfeatures f f\nobject 1 1\ntarget 0\n",
+         "line 2: duplicate feature names in ('f', 'f')"),
+        # the malformed line 8 is read before the unbuildable agent of line 2
+        ("layer\nagent a\ntarget 0\nlayer\nagent b\nfeatures g\nobject 0\ntarget x\n",
+         "malformed line 8: 'target x'"),
+    ],
+)
+def test_load_network_names_the_line_of_an_agent_it_cannot_build(tmp_path, text, message):
+    path = tmp_path / "bad.net"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(NetworkError) as err:
+        load_network(path)
+    assert str(err.value) == message
 
 
 # quotes, escapes, comments and the whitespace that str.split takes and
