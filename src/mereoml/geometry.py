@@ -7,11 +7,11 @@ candidate-quantified betweenness are defined.  For navigation the workable
 notion is extent-betweenness: lying inside the smallest rectangle spanning
 two others.
 
-The simulator moves robots held in a formation (see ``formation``): it
-drives the lowest-id robot down a grid potential field (breadth-first
-distance to the goal with obstacles inflated by the largest robot
-half-extent) while the others pick, each step, the move that first repairs
-constraint violations and then makes progress.
+The simulator moves robots held in a formation (see ``formation``) over a
+grid potential field (breadth-first distance to the goal with obstacles
+inflated by the largest robot half-extent): each step every robot picks the
+move that first repairs constraint violations and then makes progress, and
+the lowest-id robot, weighing no clause, just descends the field.
 """
 
 from __future__ import annotations
@@ -336,23 +336,24 @@ class NavigationLog:
     field: PotentialField
 
 
-# follower move preference when violation count and potential tie
-_FOLLOWER_MOVES = (
+# move preference when violation count and potential tie; staying comes first
+_MOVES = (
     (0, 0), (0, 1), (0, -1), (-1, 0), (1, 0), (-1, 1), (1, 1), (-1, -1), (1, -1)
 )
-_LEADER_MOVES = _FOLLOWER_MOVES[1:]
 _STALL_LIMIT = 5
 
 
 def navigate(world: World, formation: Formation, max_steps: int = 1000) -> NavigationLog:
     """March the formation toward the goal; deterministic.
 
-    The lowest-id robot strictly descends the potential; every other robot,
-    in id order, picks the move minimizing (violations, potential, move
-    preference).  Robots never enter blocked cells, so they can never touch
-    an obstacle; they may overlap each other.  Termination: the leader's
-    rectangle overlaps the goal with no violation outstanding, the step
-    budget runs out, or nobody moves for five consecutive steps.
+    Every robot, in id order, picks the move minimizing (violations,
+    potential, move preference), staying first.  The lowest-id robot, the
+    leader, weighs no clause, so it strictly descends the potential: it
+    takes its lowest neighbour only when that is lower than its own cell.
+    Robots never enter blocked cells, so they can never touch an obstacle;
+    they may overlap each other.  Termination: the leader's rectangle
+    overlaps the goal with no violation outstanding, the step budget runs
+    out, or nobody moves for five consecutive steps.
     """
     poses = world.robot_poses
     if not poses:
@@ -379,36 +380,29 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
         hx, hy = half[rid]
         return (xs[i] - hx, ys[j] - hy, xs[i] + hx, ys[j] + hy)
 
-    # each robot's box, and the rectangle the log holds, replaced only when
-    # that robot moves
     boxes = {rid: box_at(rid, cells[rid]) for rid in ids}
-    rects = {rid: Rect(*boxes[rid]) for rid in ids}
     clauses = formation.constraints
     tests = [_compile(c) for c in clauses]
-    # a follower's move decides only the clauses naming it; the others add
-    # the same count to every move it weighs
+    # a robot's move decides only the clauses naming it; the others add the
+    # same count to every move it weighs.  The leader weighs none
     naming = {
         rid: [t for c, t in zip(clauses, tests) if rid in _clause_robots(c)] for rid in ids
     }
-
-    def move(rid: int, cell: tuple[int, int], box: Box) -> None:
-        cells[rid], boxes[rid], rects[rid] = cell, box, Rect(*box)
+    naming[leader] = []
 
     def record(step: int) -> StepRecord:
         violations = sum([t(boxes) for t in tests])
         return StepRecord(
             step,
             tuple(
-                LogEntry(rid, rects[rid], field.value(*cells[rid]), violations)
+                LogEntry(rid, Rect(*boxes[rid]), field.value(*cells[rid]), violations)
                 for rid in ids
             ),
         )
 
     def arrived() -> bool:
-        return (
-            overlap_area(rects[leader], world.goal) > 0
-            and steps[-1].entries[0].violations == 0
-        )
+        lead = steps[-1].entries[0]
+        return overlap_area(lead.rect, world.goal) > 0 and lead.violations == 0
 
     def finish(status: str) -> NavigationLog:
         return NavigationLog(status, tuple(steps), field)
@@ -422,30 +416,16 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
     stall = 0
     for step in range(1, max_steps + 1):
         moved = False
-        # leader: strict greedy descent
-        li, lj = cells[leader]
-        best = value[lj, li]
-        best_cell = None
-        for di, dj in _LEADER_MOVES:
-            ci, cj = li + di, lj + dj
-            if not (0 <= ci < nx and 0 <= cj < ny) or blocked[cj, ci]:
-                continue
-            v = value[cj, ci]
-            if v < best - _EPS:
-                best, best_cell = v, (ci, cj)
-        if best_cell is not None:
-            move(leader, best_cell, box_at(leader, best_cell))
-            moved = True
-        # followers: repair first, then advance.  Trials run in (potential,
-        # move preference) order, so a later one wins only with fewer
-        # violations: each is counted until it ties the fewest so far, and one
-        # with none ends the turn.  A trial takes the follower's slot in boxes
-        for rid in ids[1:]:
+        # repair first, then advance.  Trials run in (potential, move
+        # preference) order, so a later one wins only with fewer violations:
+        # each is counted until it ties the fewest so far, and one with none
+        # ends the turn.  A trial takes the robot's slot in boxes
+        for rid in ids:
             here = hi, hj = cells[rid]
             own = boxes[rid]
             weighed = naming[rid]
             trials = []
-            for k, (di, dj) in enumerate(_FOLLOWER_MOVES):
+            for k, (di, dj) in enumerate(_MOVES):
                 ci, cj = hi + di, hj + dj
                 if 0 <= ci < nx and 0 <= cj < ny and not blocked[cj, ci]:
                     trials.append((value[cj, ci], k, (ci, cj)))
@@ -470,7 +450,7 @@ def navigate(world: World, formation: Formation, max_steps: int = 1000) -> Navig
             cell, box = chosen
             if cell != here:
                 moved = True
-                move(rid, cell, box)
+                cells[rid], boxes[rid] = cell, box
         steps.append(record(step))
         stall = 0 if moved else stall + 1
         if stall >= _STALL_LIMIT:

@@ -367,13 +367,16 @@ def load_network(path: str | Path) -> Network:
         agent NAME auto [P1 ...]   consumer fused from named producers
                                    (default: all agents of the previous layer)
 
-    All lines are read before any agent is built: a malformed line is
-    reported first, an agent that cannot be built at its ``agent`` line.
+    Agent names are unique.  All lines are read before any agent is built:
+    a malformed line or a repeated name is reported first, an agent that
+    cannot be built at its ``agent`` line.
     Auto consumers take the full Cartesian product universe, held
     implicitly (see :func:`consumer_from`): loading never builds its rows,
     which are decoded on demand.
     """
     layers: list[list[_AgentBlock]] = []
+    # the line of each agent name, which keys producers, feeds and traces
+    defined: dict[str, int] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         try:
             words = _words(raw)
@@ -385,12 +388,16 @@ def load_network(path: str | Path) -> Network:
             elif directive == "agent":
                 if not layers:
                     raise NetworkError("agent before any layer line")
+                name = args[0]
+                if name in defined:
+                    raise NetworkError(f"agent {name!r} already defined at line {defined[name]}")
+                defined[name] = lineno
                 producers = None
                 if len(args) >= 2 and args[1] == "auto":
                     if len(layers) < 2:
                         raise NetworkError("auto agent needs a previous layer")
                     producers = args[2:] or [b.name for b in layers[-2]]
-                layers[-1].append(_AgentBlock(lineno, args[0], producers))
+                layers[-1].append(_AgentBlock(lineno, name, producers))
             elif directive in ("features", "object", "target"):
                 block = layers[-1][-1] if layers and layers[-1] else None
                 if block is None or block.producers is not None:

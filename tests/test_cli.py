@@ -614,6 +614,25 @@ def test_net_line_with_an_unclosed_quote_is_malformed(capsys, tmp_path):
     _one_error_line(err, "malformed line 2")
 
 
+@pytest.mark.parametrize(
+    "second,top,message",
+    [
+        ("a", "agent top auto", "line 6: agent 'a' already defined at line 2"),
+        ("b", "agent a auto a b", "line 11: agent 'a' already defined at line 2"),
+    ],
+    ids=["input", "consumer"],
+)
+def test_net_rejects_a_repeated_agent_name(capsys, tmp_path, second, top, message):
+    path = tmp_path / "repeat.net"
+    path.write_text(
+        "layer\nagent a\nfeatures f\nobject 0\ntarget 0\n"
+        f"agent {second}\nfeatures g\nobject 0\ntarget 0\nlayer\n{top}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "net", str(path), "--input", "0", "--input", "0")
+    assert (code, out, err) == (2, "", f"mereoml: {message}\n")
+
+
 def test_net_wrong_input_count(capsys, net_file):
     code, _, err = run(capsys, "net", net_file, "--input", "0,1")
     assert code == 2

@@ -1057,6 +1057,39 @@ def test_navigate_breaks_a_tie_of_violations_and_potential_by_move_preference():
     assert (log.status, log.steps) == trajectory(ref_navigate, world, formation, 10)
 
 
+def test_walled_in_leader_on_the_goal_stays_put_as_in_the_reference():
+    # eight obstacle cells ring the goal cell where leader 0 stands, and
+    # follower 1 can never lie inside the leader; staying is the leader's
+    # only move, so it is not boxed in, and the mission stalls out
+    ring = tuple(
+        Rect(x, y, x + 1, y + 1) for x in (1, 2, 3) for y in (1, 2, 3) if (x, y) != (2, 2)
+    )
+    world = World(
+        Rect(0, 0, 7, 5),
+        ring,
+        Rect(2, 2, 3, 3),
+        1.0,
+        ((0, sq(2.5, 2.5, 0.25)), (1, sq(5.5, 2.5, 0.25))),
+    )
+    formation = Formation("f", (Between(1, 0, 0),))
+    log = navigate(world, formation)
+    assert (log.status, len(log.steps)) == ("deadlock", 6)
+    assert all(rec.entries[0].rect.center == (2.5, 2.5) for rec in log.steps)
+    assert (log.status, log.steps) == trajectory(ref_navigate, world, formation)
+
+
+def test_leader_breaks_a_tie_of_potential_by_move_preference():
+    # the wall east of leader 0 leaves moves (1, 1) and (1, -1) the lowest
+    # potential, and (1, 1) comes first in move preference, though (1, -1)
+    # names the lower cell
+    world = World(
+        Rect(0, 0, 8, 5), (Rect(1, 2, 2, 3),), Rect(7, 0, 8, 5), 1.0, ((0, sq(0.5, 2.5, 0.25)),)
+    )
+    log = navigate(world, Formation("solo", ()))
+    assert log.steps[1].entries[0].rect.center == (1.5, 3.5)
+    assert (log.status, log.steps) == trajectory(ref_navigate, world, Formation("solo", ()))
+
+
 def test_simulator_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on its first call, which raises the peak
     # memory of every process that runs the simulator

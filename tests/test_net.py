@@ -354,6 +354,14 @@ agent top auto
 """
 
 
+TWO_INPUTS = (
+    "layer\nagent a\nfeatures f\nobject 0\ntarget 0\n"
+    "agent {}\nfeatures g\nobject 0\ntarget 0\n"
+)
+REPEATED_INPUT_NAME = TWO_INPUTS.format("a") + "layer\nagent top auto\n"
+REPEATED_CONSUMER_NAME = TWO_INPUTS.format("b") + "layer\nagent a auto a b\n"
+
+
 def test_load_network_round_trips_demo(tmp_path):
     path = tmp_path / "net.txt"
     path.write_text(DEMO_TEXT, encoding="utf-8")
@@ -406,6 +414,10 @@ def test_load_network_errors(tmp_path, text, fragment):
         # the malformed line 8 is read before the unbuildable agent of line 2
         ("layer\nagent a\ntarget 0\nlayer\nagent b\nfeatures g\nobject 0\ntarget x\n",
          "malformed line 8: 'target x'"),
+        # a name keys the producer lists and the trace, so a second agent of
+        # one name fails at its own line, in its layer or in the next
+        (REPEATED_INPUT_NAME, "line 6: agent 'a' already defined at line 2"),
+        (REPEATED_CONSUMER_NAME, "line 11: agent 'a' already defined at line 2"),
     ],
 )
 def test_load_network_names_the_line_of_an_agent_it_cannot_build(tmp_path, text, message):
