@@ -22,8 +22,8 @@ from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from .dataset import DecisionSystem, EncodedTable, MemberView, dis_count_matrix
-from .dataset import member_bits, pack_rows, unpack_rows
+from .bits import MemberView, member_bits, pack_rows, unpack_rows
+from .dataset import DecisionSystem, EncodedTable, dis_count_matrix
 from .errors import FoldError, MereomlError, ParameterError
 from .inclusion import (
     Degree,
@@ -145,7 +145,7 @@ def granule(center: int, r: Degree, inclusion: RoughInclusion) -> Granule:
     if hasattr(inclusion, "membership_mask"):
         bits = pack_rows(inclusion.membership_mask(center, r)[None])[0]
     else:
-        bits = sum(1 << y for y in inclusion.system.objects if inclusion.degree(y, center) >= r)
+        bits = member_bits({y for y in inclusion.system.objects if inclusion.degree(y, center) >= r})
     return Granule(center, r, MemberView(bits))
 
 
@@ -268,8 +268,6 @@ def granular_mirror(
         return GranularReflection(covering, system.features, (), (), strategy)
     n = len(system.decisions)
     bits = [member_bits(g.members) for g in covering.granules]
-    if max(bits).bit_length() > n:
-        raise MereomlError(f"the covering reaches objects outside the table's {n} rows")
     membership = unpack_rows(bits, n).astype(np.float32)
     rows = _vote(membership, system.system.encoded)
     decisions = _vote(membership, system.decisions_encoded)

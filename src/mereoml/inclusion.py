@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from . import dataset
+from .bits import pack_rows
 from .dataset import (
     DecisionSystem,
     InformationSystem,
@@ -31,7 +32,6 @@ from .dataset import (
     dis,
     dis_count_matrix,
     ind_fraction,
-    pack_rows,
     row_dis_count,
 )
 from .errors import DegreeUnderflow, MereomlError

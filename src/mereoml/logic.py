@@ -22,7 +22,8 @@ from typing import AbstractSet, Iterable, Union
 
 import numpy as np
 
-from .dataset import DecisionSystem, InformationSystem, MemberView, member_bits, pack_rows
+from .bits import MemberView, member_bits, pack_rows
+from .dataset import DecisionSystem, InformationSystem
 from .errors import MereomlError
 
 

@@ -27,7 +27,8 @@ from functools import cached_property, reduce
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import CartesianRows, InformationSystem, MemberView
+from .bits import MemberView, member_bits
+from .dataset import CartesianRows, InformationSystem
 from .errors import MereomlError, NetworkError, read_text
 from .granulation import Granule
 from .inclusion import FeatureWeights, exp_row_degree, t_lukasiewicz
@@ -211,11 +212,11 @@ def fuse_granules(g_b: Granule, g_c: Granule, consumer: Agent) -> Granule:
     """Cartesian fusion of two producer granules inside the consumer universe."""
     if len(consumer.producers) != 2 or consumer.selectors is None:
         raise NetworkError(f"{consumer.name!r} does not fuse exactly two producers")
-    bits = sum(
-        1 << i
+    bits = member_bits({
+        i
         for i, (xb, xc) in enumerate(consumer.selectors)
         if xb in g_b.members and xc in g_c.members
-    )
+    })
     centers = [
         i
         for i, sel in enumerate(consumer.selectors)
@@ -367,9 +368,9 @@ def load_network(path: str | Path) -> Network:
         agent NAME auto [P1 ...]   consumer fused from named producers
                                    (default: all agents of the previous layer)
 
-    Agent names are unique.  All lines are read before any agent is built:
-    a malformed line or a repeated name is reported first, an agent that
-    cannot be built at its ``agent`` line.
+    Agent names are unique, and a line has exactly the words shown.  All
+    lines are read before any agent is built: a malformed line or a repeated
+    name is reported first, an agent that cannot be built at its ``agent`` line.
     Auto consumers take the full Cartesian product universe, held
     implicitly (see :func:`consumer_from`): loading never builds its rows,
     which are decoded on demand.
@@ -383,6 +384,9 @@ def load_network(path: str | Path) -> Network:
             if not words:
                 continue
             directive, args = words[0], words[1:]
+            arity = {"layer": 0, "target": 1, "agent": len(args) if args[1:2] == ["auto"] else 1}
+            if len(args) != arity.get(directive, len(args)):
+                raise ValueError
             if directive == "layer":
                 layers.append([])
             elif directive == "agent":
@@ -410,7 +414,7 @@ def load_network(path: str | Path) -> Network:
                     block.targets.append(int(args[0]))
             else:
                 raise NetworkError(f"unknown directive {directive!r}")
-        except (IndexError, ValueError):
+        except ValueError:
             raise NetworkError(f"malformed line {lineno}: {raw.strip()!r}") from None
         except NetworkError as e:
             raise NetworkError(f"line {lineno}: {e}") from None

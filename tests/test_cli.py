@@ -615,6 +615,22 @@ def test_net_line_with_an_unclosed_quote_is_malformed(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text,line",
+    [
+        ("layer junk\n", "malformed line 1: 'layer junk'"),
+        ("layer\nagent a junk words\n", "malformed line 2: 'agent a junk words'"),
+        ("layer\nagent a\nfeatures f\nobject 0\ntarget 0 7\n", "malformed line 5: 'target 0 7'"),
+    ],
+    ids=["layer", "agent", "target"],
+)
+def test_net_line_with_extra_words_is_malformed(capsys, tmp_path, text, line):
+    path = tmp_path / "extra.net"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "net", str(path), "--input", "0")
+    assert (code, out, err) == (2, "", f"mereoml: {line}\n")
+
+
+@pytest.mark.parametrize(
     "second,top,message",
     [
         ("a", "agent top auto", "line 6: agent 'a' already defined at line 2"),

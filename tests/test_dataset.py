@@ -33,13 +33,12 @@ from mereoml import (
 )
 import mereoml
 from mereoml import dataset
+from mereoml.bits import pack_rows, unpack_rows
 from mereoml.dataset import (
     NA_VALUE,
     WIDE_COLUMN,
     EncodedTable,
     dis_count_matrix,
-    pack_rows,
-    unpack_rows,
 )
 from mereoml.errors import read_text
 from strategies import tables
@@ -147,6 +146,14 @@ def test_decision_system_subset_reindexes():
     assert sub.system.rows == (("3",), ("1",))
     assert sub.decisions == ("z", "x")
     assert list(sub.objects) == [0, 1]
+
+
+@pytest.mark.parametrize("objects", [[-1, 0], [3]])
+def test_decision_system_subset_rejects_unknown_objects(objects):
+    base = InformationSystem(("a",), (("1",), ("2",), ("3",)))
+    system = DecisionSystem(base, "d", ("x", "y", "z"))
+    with pytest.raises(UnknownObject):
+        system.subset(objects)
 
 
 def test_discretize_equal_frequency():
@@ -553,6 +560,13 @@ def test_pack_rows_round_trips_through_unpack_rows(n):
     assert unpack_rows([], n).shape == (0, n)
 
 
+@pytest.mark.parametrize("member", [10, 12, 20])
+def test_unpack_rows_rejects_a_member_outside_its_n_objects(member):
+    # 12 sits inside the last byte of 10 objects, 20 past it
+    with pytest.raises(ParameterError, match="outside the 10 objects"):
+        unpack_rows([0b101, 1 << member], 10)
+
+
 def _package_imports(name):
     """The mereoml modules that ``mereoml.<name>`` imports."""
     source = Path(mereoml.__file__).with_name(f"{name}.py").read_text(encoding="utf-8")
@@ -575,6 +589,16 @@ def _package_imports(name):
 
 def test_object_bitsets_sit_below_the_modules_that_read_them():
     assert _package_imports("dataset") == {"errors"}
+    assert _package_imports("bits") <= {"errors"}
+    codec = {"pack_rows", "unpack_rows", "MemberView", "member_bits", "_plain", "_on_frozen"}
+    assert not codec & set(vars(dataset))
+    # only the codec knows the bit order and its range
+    bit_words = {"packbits", "unpackbits", "from_bytes", "to_bytes", "bit_length"}
+    for name in ("dataset", "inclusion", "granulation", "logic", "net"):
+        source = Path(mereoml.__file__).with_name(f"{name}.py").read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            assert not isinstance(node, ast.LShift), name
+            assert getattr(node, "attr", getattr(node, "id", None)) not in bit_words, name
     assert "granulation" not in _package_imports("logic")
     assert "granulation" not in _package_imports("inclusion")
     # the walker sees both forms of a package import

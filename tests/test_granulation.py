@@ -46,7 +46,7 @@ from mereoml import (
     stratified_folds,
 )
 from mereoml import granulation
-from mereoml.dataset import MemberView, member_bits
+from mereoml.bits import MemberView, member_bits
 from mereoml.granulation import RadiusResult
 from strategies import decision_tables, granules_for, tables
 
@@ -276,9 +276,12 @@ def test_granular_mirror_rejects_unknown_strategy():
 
 
 def test_granular_mirror_rejects_objects_outside_the_table():
-    cov = Covering((g(0, {0, 1, 2, 3, 4}),), frozenset({0, 1, 2, 3, 4}))
-    with pytest.raises(MereomlError, match="outside"):
-        granular_mirror(cov, MIRROR_SYSTEM)
+    # the table has 4 rows: a stray at the row count, in the last byte, past it
+    for stray in (4, 7, 12):
+        members = {0, 1, 2, 3, stray}
+        cov = Covering((g(0, members),), frozenset(members))
+        with pytest.raises(MereomlError, match="outside"):
+            granular_mirror(cov, MIRROR_SYSTEM)
 
 
 def test_classify_nearest_row():
@@ -652,15 +655,22 @@ def test_member_view_behaves_as_its_frozenset(s, t, mutable):
     assert sorted(v) == sorted(s) and frozenset(v) == s
     for x in [-1, 0, 63, 64, 65, 140, 1.0, True, "a"]:
         assert (x in v) == (x in s)
+    ops = (
+        operator.le, operator.lt, operator.ge, operator.gt,
+        operator.and_, operator.or_, operator.sub, operator.xor,
+    )
     for other, plain in ((t, t), (w, t), (mutable, mutable)):
-        for op in (
-            operator.le, operator.lt, operator.ge, operator.gt,
-            operator.and_, operator.or_, operator.sub, operator.xor,
-        ):
+        for op in ops:
             assert op(v, other) == op(s, plain)
             assert op(other, v) == op(plain, s)
             assert type(op(v, other)) is type(op(s, plain))
             assert type(op(other, v)) is type(op(plain, s))
+    # a list is no set: the operators that the view keeps reject it, as
+    # the comparisons that the Set mixin gives do
+    for op in ops:
+        for left, right in ((v, sorted(t)), (sorted(t), v)):
+            with pytest.raises(TypeError):
+                op(left, right)
     assert v.isdisjoint(t) == s.isdisjoint(t)
     g = Granule(3, Fraction(1, 2), v)
     h = Granule(3, Fraction(1, 2), s)

@@ -35,7 +35,7 @@ from mereoml import (
     rule_audit,
     satisfies,
 )
-from mereoml.dataset import MemberView, member_bits
+from mereoml.bits import MemberView, member_bits
 from mereoml.logic import _mask
 from strategies import atoms_for, decision_tables, formulas_for, granules_for, tables
 

@@ -37,7 +37,7 @@ from mereoml import (
     t_lukasiewicz,
 )
 from mereoml.cli import main
-from mereoml.dataset import MemberView
+from mereoml.bits import MemberView
 
 
 def agent_b():
