@@ -100,9 +100,10 @@ class EncodedTable:
         return tuple(map(tuple, tokens[self.codes + offsets].tolist()))
 
     def lookup(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
-        """Codes of outside rows in this vocabulary; -1 for unseen tokens."""
-        codes = np.empty((len(rows), len(self.index)), dtype=self.codes.dtype)
-        for j, (index, column) in enumerate(zip(self.index, zip(*rows))):
+        """Codes of outside rows, as wide as they are, in this vocabulary; -1 for unseen tokens."""
+        columns = list(zip(self.index, zip(*rows)))
+        codes = np.empty((len(rows), len(columns)), dtype=self.codes.dtype)
+        for j, (index, column) in enumerate(columns):
             codes[:, j] = list(map(index.get, column, repeat(-1)))
         return codes
 
@@ -294,9 +295,16 @@ class DecisionSystem:
         return frozenset(self.decisions)
 
     @cached_property
-    def decisions_encoded(self) -> EncodedTable:
-        """The decision column encoded as a one-column table."""
-        return EncodedTable.from_rows([(d,) for d in self.decisions], 1)
+    def encoded(self) -> EncodedTable:
+        """The conditional columns' codes and the decision's last, built on first use."""
+        rows = [(*row, d) for row, d in zip(self.system.rows, self.decisions)]
+        return EncodedTable.from_rows(rows, len(self.features) + 1)
+
+    def feature_index(self, feature: str) -> int:
+        """The column of ``feature`` in ``encoded``: m for the decision."""
+        if feature == self.decision:
+            return len(self.features)
+        return self.system.feature_index(feature)
 
     def value(self, obj: int, feature: str) -> str:
         if feature == self.decision:

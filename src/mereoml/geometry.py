@@ -179,9 +179,9 @@ def load_world(path: str | Path) -> World:
 
     Directives ('#' comments allowed): ``bounds x1 y1 x2 y2``,
     ``cell SIZE``, ``obstacle x1 y1 x2 y2`` (repeat), ``goal x1 y1 x2 y2``,
-    ``robot ID x1 y1 x2 y2`` (repeat).
+    ``robot ID x1 y1 x2 y2`` (repeat).  Bounds, cell and goal appear once.
     """
-    bounds = goal = cell = None
+    once: dict[str, Rect | float] = {}  # the bounds, cell and goal
     obstacles: list[Rect] = []
     robots: list[tuple[int, Rect]] = []
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
@@ -194,24 +194,22 @@ def load_world(path: str | Path) -> World:
                 raise MereomlError(f"unknown directive {directive!r}")
             if len(args) != _DIRECTIVE_ARGS[directive]:
                 raise ValueError
-            if directive == "cell":
-                cell = float(args[0])
-            elif directive == "robot":
+            if directive == "robot":
                 robots.append((int(args[0]), Rect(*map(float, args[1:]))))
             elif directive == "obstacle":
                 obstacles.append(Rect(*map(float, args)))
-            elif directive == "bounds":
-                bounds = Rect(*map(float, args))
+            elif directive in once:
+                raise MereomlError(f"second {directive!r} line")
             else:
-                goal = Rect(*map(float, args))
+                once[directive] = float(args[0]) if directive == "cell" else Rect(*map(float, args))
         except ValueError:
             raise MereomlError(f"malformed world line {lineno}: {raw.strip()!r}") from None
         except MereomlError as e:
             raise MereomlError(f"world line {lineno}: {e}") from None
-    if bounds is None or goal is None or cell is None:
+    if len(once) < 3:
         raise MereomlError("world file needs bounds, goal and cell lines")
     robots.sort(key=lambda pair: pair[0])
-    return World(bounds, tuple(obstacles), goal, cell, tuple(robots))
+    return World(once["bounds"], tuple(obstacles), once["goal"], once["cell"], tuple(robots))
 
 
 #: Most cells a world grid may have; building such a field peaks at about

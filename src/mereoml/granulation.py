@@ -78,26 +78,22 @@ class GranularReflection:
     """The mirror table: one row per covering granule, values by vote.
 
     ``rows[i]`` holds the voted conditional values of granule i over
-    ``features``; ``decisions[i]`` the voted decision.  ``encoded`` and
-    ``decisions_encoded`` hold the same values as codes.
+    ``features``; ``decisions[i]`` the voted decision.  ``encoded`` holds
+    the same values as codes, the decision as its last column.
     """
 
     covering: Covering
     features: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
     decisions: tuple[str, ...]
-    strategy: str = "MV"
     encoded: EncodedTable | None = field(default=None, compare=False, repr=False)
-    decisions_encoded: EncodedTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         # a mirror built by hand is encoded from its own tokens
         if self.encoded is None:
-            encoded = EncodedTable.from_rows(self.rows, len(self.features))
+            rows = [(*row, d) for row, d in zip(self.rows, self.decisions, strict=True)]
+            encoded = EncodedTable.from_rows(rows, len(self.features) + 1)
             object.__setattr__(self, "encoded", encoded)
-        if self.decisions_encoded is None:
-            encoded = EncodedTable.from_rows([(d,) for d in self.decisions], 1)
-            object.__setattr__(self, "decisions_encoded", encoded)
 
 
 @dataclass(frozen=True)
@@ -250,35 +246,30 @@ def _vote(membership: np.ndarray, table: EncodedTable) -> EncodedTable:
     return EncodedTable(codes, table.vocab, table.index)
 
 
-def granular_mirror(
-    covering: Covering, system: DecisionSystem, strategy: str = "MV"
-) -> GranularReflection:
+def granular_mirror(covering: Covering, system: DecisionSystem) -> GranularReflection:
     """Vote each granule into a single mirror row (conditional and decision).
 
     The covering's member bitsets unpack to one granules x objects 0/1 matrix.
     That matrix times a one-hot of each column's codes counts each token in
     each granule, and ``argmax`` picks the winner, ties going to the
-    smallest token as in :func:`majority_value`.  The mirror keeps the voted
+    smallest token as in :func:`majority_value`.  The decision is voted as
+    the last column of the table's encoding, and the mirror keeps the voted
     codes for :func:`classify_many`.
     """
-    if strategy != "MV":
-        raise MereomlError(f"unknown voting strategy {strategy!r}")
     if not covering.granules:
         # a table without objects: nothing to vote, and no token to argmax over
-        return GranularReflection(covering, system.features, (), (), strategy)
-    n = len(system.decisions)
+        return GranularReflection(covering, system.features, (), ())
+    m = len(system.features)
     bits = [member_bits(g.members) for g in covering.granules]
-    membership = unpack_rows(bits, n).astype(np.float32)
-    rows = _vote(membership, system.system.encoded)
-    decisions = _vote(membership, system.decisions_encoded)
+    membership = unpack_rows(bits, len(system.decisions)).astype(np.float32)
+    voted = _vote(membership, system.encoded)
+    rows = voted.decode()
     return GranularReflection(
         covering,
         system.features,
-        rows.decode(),
-        tuple(row[0] for row in decisions.decode()),
-        strategy,
-        rows,
-        decisions,
+        tuple(row[:m] for row in rows),
+        tuple(row[m] for row in rows),
+        voted,
     )
 
 
@@ -307,10 +298,10 @@ def classify_many(
         if len(row) != m:
             raise MereomlError(f"test row has {len(row)} values, expected {m}")
     enc = reflection.encoded
-    dis = dis_count_matrix(enc.lookup(test_rows), enc.codes)
+    dis = dis_count_matrix(enc.lookup(test_rows), enc.codes[:, :m])
     tied = dis == dis.min(axis=1, keepdims=True)
-    decisions = reflection.decisions_encoded.codes[:, 0]
-    one_hot = decisions[:, None] == np.arange(len(reflection.decisions_encoded.vocab[0]))
+    decisions = enc.codes[:, m]
+    one_hot = decisions[:, None] == np.arange(len(enc.vocab[m]))
     votes = tied.astype(np.float32) @ one_hot.astype(np.float32)
     leaders = votes == votes.max(axis=1, keepdims=True)
     winner = (tied & leaders[:, decisions]).argmax(axis=1)

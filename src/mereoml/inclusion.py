@@ -258,7 +258,7 @@ class _TableInclusion(RoughInclusion):
 
     @cached_property
     def dis_counts(self) -> np.ndarray:
-        codes = self._table.encoded.codes
+        codes = self.system.encoded.codes[:, : len(self._table.features)]
         return dis_count_matrix(codes, codes)
 
     def membership_mask(self, center: int, r) -> np.ndarray:
@@ -336,7 +336,7 @@ class ExponentialInclusion(_TableInclusion):
             return self._sums_by_count[self.dis_counts]
         table = self._table
         out = np.zeros((len(table.rows),) * 2)
-        for col, f in zip(np.ascontiguousarray(table.encoded.codes.T), table.features):
+        for col, f in zip(np.ascontiguousarray(self.system.encoded.codes.T), table.features):
             out += (col[:, None] != col[None, :]) * self.weights(f)
         return out
 

@@ -216,11 +216,6 @@ def _column(feature: str, system) -> tuple[np.ndarray, dict[str, int]]:
     The decision feature of a decision system counts; any other name must be
     a conditional feature, else :class:`UnknownFeature`.
     """
-    if isinstance(system, DecisionSystem):
-        if feature == system.decision:
-            encoded = system.decisions_encoded
-            return encoded.codes[:, 0], encoded.index[0]
-        system = system.system
     j = system.feature_index(feature)
     return system.encoded.codes[:, j], system.encoded.index[j]
 

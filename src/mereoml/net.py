@@ -362,7 +362,7 @@ def load_network(path: str | Path) -> Network:
 
         layer                      begin a new layer
         agent NAME                 begin an explicit agent
-        features F1 F2 ...         its feature names
+        features F1 F2 ...         its feature names (once)
         object V1 V2 ...           one universe row (repeat)
         target N                   mark row N as a target (repeat)
         agent NAME auto [P1 ...]   consumer fused from named producers
@@ -407,6 +407,8 @@ def load_network(path: str | Path) -> Network:
                 if block is None or block.producers is not None:
                     raise NetworkError(f"{directive!r} outside an explicit agent block")
                 if directive == "features":
+                    if block.features is not None:
+                        raise NetworkError(f"agent {block.name!r} has a second features line")
                     block.features = tuple(args)
                 elif directive == "object":
                     block.rows.append(tuple(args))

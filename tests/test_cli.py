@@ -649,6 +649,23 @@ def test_net_rejects_a_repeated_agent_name(capsys, tmp_path, second, top, messag
     assert (code, out, err) == (2, "", f"mereoml: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("layer\nagent a\nfeatures f\nfeatures g\nobject 0\ntarget 0\n", 4),
+        ("layer\nagent a\nfeatures f\nobject 0\nfeatures g h\nobject 1 2\ntarget 0\n", 5),
+    ],
+    ids=["adjacent", "after-a-row"],
+)
+def test_net_rejects_a_second_features_line(capsys, tmp_path, text, line):
+    path = tmp_path / "features.net"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "net", str(path), "--input", "0")
+    assert (code, out, err) == (
+        2, "", f"mereoml: line {line}: agent 'a' has a second features line\n"
+    )
+
+
 def test_net_wrong_input_count(capsys, net_file):
     code, _, err = run(capsys, "net", net_file, "--input", "0,1")
     assert code == 2
@@ -739,6 +756,19 @@ SIM_ERROR_WORLDS = {
     "degenerate-obstacle": (
         "bounds 0 0 10 10\ncell 1\nobstacle 2 2 1 1\ngoal 0 8 2 10\nrobot 0 1.4 1.4 1.6 1.6\n",
         "world line 3: degenerate rectangle (2.0, 2.0, 1.0, 1.0)",
+    ),
+    # bounds, cell and goal each appear once; a second line is no override
+    "second-bounds": (
+        "bounds 0 0 10 10\ncell 1\ngoal 0 8 2 10\nbounds 0 0 20 20\nrobot 0 1.4 1.4 1.6 1.6\n",
+        "world line 4: second 'bounds' line",
+    ),
+    "second-cell": (
+        "bounds 0 0 10 10\ncell 1\ncell 2\ngoal 0 8 2 10\nrobot 0 1.4 1.4 1.6 1.6\n",
+        "world line 3: second 'cell' line",
+    ),
+    "second-goal": (
+        "bounds 0 0 10 10\ncell 1\ngoal 0 8 2 10\ngoal 8 8 10 10\nrobot 0 1.4 1.4 1.6 1.6\n",
+        "world line 4: second 'goal' line",
     ),
 }
 

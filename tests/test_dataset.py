@@ -539,11 +539,22 @@ def test_dis_count_matrix_stores_counts_in_the_narrowest_unsigned_dtype(wide_col
 NUL_TOKENS = ("a", "a\x00", "a\x00\x00", "", "\x00", "b")
 
 
-@hypothesis.given(tables(min_objects=0, tokens=NUL_TOKENS))
-@hypothesis.example(InformationSystem((), ((), ())))
-def test_decode_gives_back_the_encoded_rows(table):
+@hypothesis.given(
+    tables(min_objects=0, tokens=NUL_TOKENS),
+    strat.lists(strat.sampled_from(NUL_TOKENS), min_size=1),
+)
+@hypothesis.example(InformationSystem((), ((), ())), ["\x00"])
+def test_decode_gives_back_the_encoded_rows(table, tokens):
     encoded = EncodedTable.from_rows(table.rows, len(table.features))
     assert encoded.decode() == table.rows
+    # a decision table encodes its decision as the last column
+    decisions = tuple(tokens[i % len(tokens)] for i in table.objects)
+    system = DecisionSystem(table, "d", decisions)
+    assert system.encoded.decode() == tuple(r + (d,) for r, d in zip(table.rows, decisions))
+    assert system.feature_index("d") == len(table.features)
+    assert [system.feature_index(f) for f in table.features] == list(range(len(table.features)))
+    with pytest.raises(UnknownFeature):
+        system.feature_index("no such feature")
 
 
 # --- object sets as integer bitsets ------------------------------------------

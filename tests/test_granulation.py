@@ -266,13 +266,13 @@ def test_granular_mirror_votes():
     assert mirror.rows == (("1", "0"), ("0", "1"))
     assert mirror.decisions == ("y", "n")
     assert mirror.features == ("a", "b")
-    assert mirror.strategy == "MV"
 
 
-def test_granular_mirror_rejects_unknown_strategy():
-    cov = Covering((g(0, {0, 1, 2, 3}),), frozenset({0, 1, 2, 3}))
-    with pytest.raises(MereomlError):
-        granular_mirror(cov, MIRROR_SYSTEM, strategy="WV")
+def test_a_mirror_built_by_hand_needs_one_decision_per_row():
+    # rows and decisions are encoded together, so neither may be dropped
+    mirror = _mirror()
+    with pytest.raises(ValueError):
+        GranularReflection(mirror.covering, mirror.features, mirror.rows, mirror.decisions[:1])
 
 
 def test_granular_mirror_rejects_objects_outside_the_table():
@@ -548,6 +548,9 @@ def test_decider_stages_match_reference_at_every_radius(system):
         mirror = granular_mirror(covering, system)
         assert mirror == ref_granular_mirror(covering, system)
         assert classify_many(mirror, rows) == ref_classify_many(mirror, rows)
+        # a mirror built by hand encodes its own rows and decisions alike
+        by_hand = ref_granular_mirror(covering, system)
+        assert classify_many(by_hand, rows) == classify_many(mirror, rows)
 
 
 @pytest.mark.parametrize("kind", ["lukasiewicz", "exp"])
@@ -734,7 +737,7 @@ def test_granular_mirror_memory_on_all_distinct_columns():
         all_granules(Fraction(1), LukasiewiczInclusion(system)), frozenset(system.objects)
     )
     assert len(covering.granules) == n
-    system.system.encoded, system.decisions_encoded
+    system.encoded
     assert _peak(granular_mirror, covering, system) < 16 * n * n
 
 
