@@ -9,7 +9,9 @@ error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -162,10 +164,11 @@ def _cmd_granulate(args) -> int:
     system = _load_table(args)
     covering = _covering(system, args.radius, args.inclusion)
     mirror = granulation.granular_mirror(covering, system)
-    lines = [",".join(mirror.features + (system.decision,))]
-    for row, d in zip(mirror.rows, mirror.decisions):
-        lines.append(",".join(row + (d,)))
-    text = "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(mirror.features + (system.decision,))
+    writer.writerows(row + (d,) for row, d in zip(mirror.rows, mirror.decisions))
+    text = out.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

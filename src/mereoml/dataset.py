@@ -75,17 +75,22 @@ class EncodedTable:
     index: tuple[dict[str, int], ...]
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[str]], width: int) -> "EncodedTable":
-        """Encode ``width``-wide token rows with plain dicts.
+    def from_rows(
+        cls, rows: Sequence[Sequence[str]], width: int, *extra: Sequence[str]
+    ) -> "EncodedTable":
+        """Encode ``width``-wide token rows, then each extra column, with plain dicts.
 
-        Dicts keep every token distinct; a numpy string array would strip
-        trailing NUL characters and merge tokens that differ only by them.
+        An extra column holds one token per row, so a decision is coded as
+        one more column without copying a row.  Dicts keep every token
+        distinct; a numpy string array would strip trailing NUL characters
+        and merge tokens that differ only by them.
         """
         # a column has at most len(rows) tokens; narrow codes compare faster
-        codes = np.empty((len(rows), width), dtype=np.int16 if len(rows) < 2**15 else np.int32)
+        shape = (len(rows), width + len(extra))
+        codes = np.empty(shape, dtype=np.int16 if len(rows) < 2**15 else np.int32)
         vocab, index = [], []
-        for j in range(width):
-            column = [row[j] for row in rows]
+        row_columns = ([row[j] for row in rows] for j in range(width))
+        for j, column in enumerate(chain(row_columns, extra)):
             tokens = tuple(sorted(set(column)))
             code_of = {t: k for k, t in enumerate(tokens)}
             codes[:, j] = [code_of[t] for t in column]
@@ -205,6 +210,13 @@ class CartesianRows(Sequence):
         return f"CartesianRows({' x '.join(str(len(f)) for f in self.factors)} rows)"
 
 
+def _check_widths(rows: Iterable[Sequence[str]], width: int) -> None:
+    """Raise :class:`RaggedRow` for the first row that is not ``width`` cells wide."""
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRow(f"row {i} has {len(row)} cells, expected {width}")
+
+
 @dataclass(frozen=True)
 class InformationSystem:
     """A total object x feature table of discrete value tokens.
@@ -220,13 +232,10 @@ class InformationSystem:
     def __post_init__(self):
         if len(set(self.features)) != len(self.features):
             raise DuplicateFeature(f"duplicate feature names in {self.features}")
-        width = len(self.features)
         # a product joins rows of tables that were checked when built, so
         # every row is as wide as its first: the sum of the factor widths
         rows = self.rows[:1] if isinstance(self.rows, CartesianRows) else self.rows
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise RaggedRow(f"row {i} has {len(row)} cells, expected {width}")
+        _check_widths(rows, len(self.features))
 
     @property
     def objects(self) -> range:
@@ -297,8 +306,7 @@ class DecisionSystem:
     @cached_property
     def encoded(self) -> EncodedTable:
         """The conditional columns' codes and the decision's last, built on first use."""
-        rows = [(*row, d) for row, d in zip(self.system.rows, self.decisions)]
-        return EncodedTable.from_rows(rows, len(self.features) + 1)
+        return EncodedTable.from_rows(self.system.rows, len(self.features), self.decisions)
 
     def feature_index(self, feature: str) -> int:
         """The column of ``feature`` in ``encoded``: m for the decision."""
@@ -338,37 +346,40 @@ def load_csv(
     with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        seen = set()
-        for col, name in enumerate(header):
-            if name in seen:
-                raise DuplicateFeature(f"{path}: duplicate header {name!r} at column {col}")
-            seen.add(name)
-        width = len(header)
-        # the decision column is split off row by row, but a missing one is
-        # reported only once every row has been checked
-        d = header.index(decision) if decision in header else None
-        rows, decisions = [], []
-        for lineno, raw in enumerate(reader, start=2):
-            if len(raw) != width:
-                raise RaggedRow(
-                    f"{path}: row at line {lineno} has {len(raw)} cells, expected {width}"
-                )
-            cells = [cell.strip() for cell in raw]
-            if na_token is not None and na_token in cells:
-                cells = [NA_VALUE if cell == na_token else cell for cell in cells]
-            if "" in cells:
-                raise MissingValue(
-                    f"{path}: missing value at line {lineno}, "
-                    f"column {header[cells.index('')]!r}"
-                )
-            if d is not None:
-                decisions.append(cells[d])
-                del cells[d]
-            rows.append(tuple(cells))
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            seen = set()
+            for col, name in enumerate(header):
+                if name in seen:
+                    raise DuplicateFeature(f"{path}: duplicate header {name!r} at column {col}")
+                seen.add(name)
+            width = len(header)
+            # the decision column is split off row by row, but a missing one is
+            # reported only once every row has been checked
+            d = header.index(decision) if decision in header else None
+            rows, decisions = [], []
+            for lineno, raw in enumerate(reader, start=2):
+                if len(raw) != width:
+                    raise RaggedRow(
+                        f"{path}: row at line {lineno} has {len(raw)} cells, expected {width}"
+                    )
+                cells = [cell.strip() for cell in raw]
+                if na_token is not None and na_token in cells:
+                    cells = [NA_VALUE if cell == na_token else cell for cell in cells]
+                if "" in cells:
+                    raise MissingValue(
+                        f"{path}: missing value at line {lineno}, "
+                        f"column {header[cells.index('')]!r}"
+                    )
+                if d is not None:
+                    decisions.append(cells[d])
+                    del cells[d]
+                rows.append(tuple(cells))
+        except csv.Error as e:
+            # a cell past the csv module's field limit, for one
+            raise IngestionError(f"{path}: line {reader.line_num}: {e}") from None
 
     if decision is None:
         return InformationSystem(tuple(header), tuple(rows))

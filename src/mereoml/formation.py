@@ -10,6 +10,7 @@ gives each failing clause its reason.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
@@ -68,24 +69,15 @@ class FormationParseError(MereomlError):
     """Formation script rejected; message carries a 1-based column."""
 
 
+#: One script token per match: a parenthesis, or a run of characters that
+#: are neither space nor parenthesis.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 class _SexpTokens:
     def __init__(self, text: str):
         self.text = text
-        self.items: list[tuple[str, int]] = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c in "()":
-                self.items.append((c, i + 1))
-                i += 1
-            else:
-                j = i
-                while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                    j += 1
-                self.items.append((text[i:j], i + 1))
-                i = j
+        self.items = [(match[0], match.start() + 1) for match in _TOKEN.finditer(text)]
         self.pos = 0
 
     def peek(self) -> tuple[str, int]:
@@ -160,18 +152,9 @@ def _parse_robot(tokens: _SexpTokens, species: list[str]) -> int:
 def _parse_clause(tokens: _SexpTokens, species: list[str]) -> Constraint:
     tokens.take("(")
     head, col = tokens.take()
-    if head == "between":
-        clause: Constraint = Between(
-            _parse_robot(tokens, species),
-            _parse_robot(tokens, species),
-            _parse_robot(tokens, species),
-        )
-    elif head == "not-between":
-        clause = NotBetween(
-            _parse_robot(tokens, species),
-            _parse_robot(tokens, species),
-            _parse_robot(tokens, species),
-        )
+    if head in ("between", "not-between"):
+        kind = Between if head == "between" else NotBetween
+        clause: Constraint = kind(*[_parse_robot(tokens, species) for _ in range(3)])
     elif head == "max-dist":
         num, ncol = tokens.take()
         try:
@@ -206,11 +189,10 @@ def print_formation(formation: Formation) -> str:
 
 
 def _print_clause(c: Constraint, sp: str) -> str:
-    if isinstance(c, Between):
-        return f"(between {sp} {c.robot} {sp} {c.a} {sp} {c.b})"
-    if isinstance(c, NotBetween):
-        return f"(not-between {sp} {c.robot} {sp} {c.a} {sp} {c.b})"
-    return f"(max-dist {c.delta:g} {sp} {c.robot} {_print_clause(c.inner, sp)})"
+    if isinstance(c, MaxDist):
+        return f"(max-dist {c.delta:g} {sp} {c.robot} {_print_clause(c.inner, sp)})"
+    head = "between" if isinstance(c, Between) else "not-between"
+    return f"({head} {sp} {c.robot} {sp} {c.a} {sp} {c.b})"
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import AbstractSet, Sequence
 import numpy as np
 
 from .bits import MemberView, member_bits, pack_rows, unpack_rows
-from .dataset import DecisionSystem, EncodedTable, dis_count_matrix
+from .dataset import DecisionSystem, EncodedTable, _check_widths, dis_count_matrix
 from .errors import FoldError, MereomlError, ParameterError
 from .inclusion import (
     Degree,
@@ -91,8 +91,10 @@ class GranularReflection:
     def __post_init__(self):
         # a mirror built by hand is encoded from its own tokens
         if self.encoded is None:
-            rows = [(*row, d) for row, d in zip(self.rows, self.decisions, strict=True)]
-            encoded = EncodedTable.from_rows(rows, len(self.features) + 1)
+            if len(self.decisions) != len(self.rows):
+                raise ValueError(f"{len(self.decisions)} decisions for {len(self.rows)} rows")
+            _check_widths(self.rows, len(self.features))
+            encoded = EncodedTable.from_rows(self.rows, len(self.features), self.decisions)
             object.__setattr__(self, "encoded", encoded)
 
 
@@ -314,6 +316,8 @@ def stratified_folds(
     """Split object ids into k folds, balanced per decision value, seeded."""
     if k < 2:
         raise MereomlError(f"need at least 2 folds, got {k}")
+    if k > len(decisions):
+        raise FoldError(f"{k} folds for {len(decisions)} objects")
     rng = random.Random(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     by_value: dict[str, list[int]] = {}

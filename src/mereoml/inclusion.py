@@ -71,25 +71,13 @@ def rs_star_weight(x: EntityLike, y: EntityLike, w: WeightFn) -> Fraction:
     return w(entity_product(x, y)) / wx
 
 
-def rs_star_residual(a: float, b: float, tnorm: str = "lukasiewicz") -> float:
-    """Unit-interval containment via the t-norm residuum; 1 exactly when a <= b."""
-    if tnorm != "lukasiewicz":
-        raise MereomlError(f"no residuum registered for t-norm {tnorm!r}")
+def rs_star_residual(a: float, b: float) -> float:
+    """Unit-interval containment via the Lukasiewicz residuum; 1 exactly when a <= b."""
     return residuum_lukasiewicz(a, b)
 
 
-def rs_star_archimedean(
-    a: float,
-    b: float,
-    h: Callable[[float], float] = lukasiewicz_h,
-    g: Callable[[float], float] = lukasiewicz_g,
-) -> float:
-    """Symmetric containment h(|a-b|) for an Archimedean decomposition (h, g).
-
-    Only h enters the value; g is accepted so a decomposition pair can be
-    passed around as one unit.
-    """
-    del g
+def rs_star_archimedean(a: float, b: float, h: Callable[[float], float] = lukasiewicz_h) -> float:
+    """Symmetric containment h(|a-b|) for the companion h of an Archimedean t-norm."""
     return h(abs(a - b))
 
 
@@ -219,13 +207,12 @@ class WeightRatioInclusion(RoughInclusion):
 
 @dataclass(frozen=True)
 class ResidualInclusion(RoughInclusion):
-    """Scalar containment a => b under a t-norm residuum; asymmetric."""
+    """Scalar containment a => b under the Lukasiewicz residuum; asymmetric."""
 
-    tnorm: str = "lukasiewicz"
     symmetric = False
 
     def degree(self, a: float, b: float) -> float:
-        return rs_star_residual(a, b, self.tnorm)
+        return rs_star_residual(a, b)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ exact rationals.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Union
@@ -73,7 +74,9 @@ Formula = Union[Atom, Not, And, Or, Implies]
 #: recurse once per level, so a deeper formula is a parse error.
 MAX_DEPTH = 100
 
-_WORD_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
+#: One formula token per match: an operator, a word, or any other character
+#: but a space, which is an error.
+_TOKEN = re.compile(r"(?P<op>->|[!&|()=])|(?P<word>[A-Za-z0-9_.]+)|(?P<bad>\S)")
 
 
 class _Tokens:
@@ -82,26 +85,11 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.items: list[tuple[str, str, int]] = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "!&|()=":
-                self.items.append((c, c, i + 1))
-                i += 1
-            elif text.startswith("->", i):
-                self.items.append(("->", "->", i + 1))
-                i += 2
-            elif c in _WORD_CHARS:
-                j = i
-                while j < len(text) and text[j] in _WORD_CHARS:
-                    j += 1
-                self.items.append(("word", text[i:j], i + 1))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r} at column {i + 1}")
+        for match in _TOKEN.finditer(text):
+            token, kind = match[0], match.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {token!r} at column {match.start() + 1}")
+            self.items.append((token if kind == "op" else kind, token, match.start() + 1))
         self.pos = 0
 
     def peek(self) -> tuple[str, str, int]:

@@ -1,6 +1,7 @@
 """The mereoml command line: exit codes, JSON shape, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -281,6 +282,17 @@ def test_load_ragged_file(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("line", [1, 2])
+def test_load_a_cell_past_the_field_limit_is_a_data_error(capsys, tmp_path, line):
+    limit = csv.field_size_limit()
+    cell = "x" * (limit + 1)
+    path = tmp_path / "wide.csv"
+    lines = [f"a,{cell}", "1,2"] if line == 1 else ["a,b", f"1,{cell}"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = f"mereoml: {path}: line {line}: field larger than field limit ({limit})\n"
+    assert run(capsys, "load", str(path)) == (2, "", message)
+
+
 # --- classify --------------------------------------------------------------
 
 
@@ -387,6 +399,14 @@ def test_option_value_of_two_dashes_is_read_as_text(capsys, table_csv, argv, cod
     assert err.startswith(first) and "Traceback" not in err
 
 
+def test_classify_rejects_more_folds_than_objects(capsys, tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text("a,d\n0,y\n1,n\n0,y\n", encoding="utf-8")
+    argv = ("classify", str(path), "--decision", "d", "--seed", "0", "--folds")
+    assert run(capsys, *argv, "5") == (2, "", "mereoml: 5 folds for 3 objects\n")
+    assert run(capsys, *argv, "3")[0] == 0
+
+
 def test_classify_decision_only_table_is_data_error(capsys, tmp_path):
     path = tmp_path / "decision_only.csv"
     path.write_text("d\ny\nn\ny\nn\n", encoding="utf-8")
@@ -464,6 +484,26 @@ def test_granulate_header_only_table_prints_the_header(capsys, tmp_path, inclusi
         "--inclusion", inclusion,
     )
     assert (code, out, err) == (0, "a,b,d\n", "")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [("x,1", "p"), ('say "hi"', "q"), ("z", "p")],
+        [("line\nbreak", "p"), ("z", "q")],
+    ],
+)
+def test_granulate_writes_a_mirror_that_load_reads_back(capsys, tmp_path, rows):
+    # at radius 1 the granules of distinct rows are the rows themselves, so
+    # the mirror holds the table's own tokens
+    table, mirror = tmp_path / "table.csv", tmp_path / "mirror.csv"
+    with table.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("a", "d"), *rows])
+    argv = ("granulate", str(table), "--decision", "d", "--radius", "1", "--out", str(mirror))
+    assert run(capsys, *argv) == (0, "", "")
+    back = load_csv(mirror, decision="d")
+    assert back.system.rows == tuple((a,) for a, _ in rows)
+    assert back.decisions == tuple(d for _, d in rows)
 
 
 # --- logic -----------------------------------------------------------------

@@ -25,6 +25,7 @@ from mereoml import (
     MereomlError,
     NuMode,
     ParameterError,
+    RaggedRow,
     ResidualInclusion,
     RoughInclusion,
     all_granules,
@@ -273,6 +274,21 @@ def test_a_mirror_built_by_hand_needs_one_decision_per_row():
     mirror = _mirror()
     with pytest.raises(ValueError):
         GranularReflection(mirror.covering, mirror.features, mirror.rows, mirror.decisions[:1])
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ((("x", "q"), ("y", "p")), "row 0 has 2 cells, expected 1"),
+        ((("x",), ()), "row 1 has 0 cells, expected 1"),
+    ],
+)
+def test_a_mirror_built_by_hand_needs_rows_as_wide_as_its_features(rows, message):
+    # a wider row's extra cell would be coded as the decision column, and a
+    # narrower row has no cell to code
+    mirror = _mirror()
+    with pytest.raises(RaggedRow, match=message):
+        GranularReflection(mirror.covering, ("a",), rows, ("p", "q"))
 
 
 def test_granular_mirror_rejects_objects_outside_the_table():

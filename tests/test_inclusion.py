@@ -71,11 +71,6 @@ def test_residuum_values():
     assert rs_star_residual(0.9, 0.3) == pytest.approx(0.4)
 
 
-def test_residual_rejects_unknown_tnorm():
-    with pytest.raises(MereomlError):
-        rs_star_residual(0.5, 0.5, tnorm="product")
-
-
 @hypothesis.given(UNIT, UNIT)
 def test_residuum_adjointness(a, b):
     # r <= (a => b)  iff  t(a, r) <= b; floats only support the bound side,
