@@ -9,9 +9,7 @@ error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -160,15 +158,25 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _csv_line(tokens: tuple[str, ...]) -> str:
+    """One CSV line; a token holding a comma, a quote, ``\\r`` or ``\\n`` is quoted.
+
+    These are ``csv.writer``'s bytes, except that Python 3.10 and 3.11 write
+    a lone ``\\r`` bare, which ``load`` would split into two lines.
+    """
+    return ",".join(
+        '"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t
+        for t in tokens
+    ) + "\n"
+
+
 def _cmd_granulate(args) -> int:
     system = _load_table(args)
     covering = _covering(system, args.radius, args.inclusion)
     mirror = granulation.granular_mirror(covering, system)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(mirror.features + (system.decision,))
-    writer.writerows(row + (d,) for row, d in zip(mirror.rows, mirror.decisions))
-    text = out.getvalue()
+    text = _csv_line(mirror.features + (system.decision,)) + "".join(
+        _csv_line(row + (d,)) for row, d in zip(mirror.rows, mirror.decisions)
+    )
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

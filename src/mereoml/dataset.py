@@ -341,6 +341,8 @@ def load_csv(
     :class:`DecisionSystem` is returned.  Empty cells are rejected (tables
     must be total); if ``na_token`` is given, cells equal to it are mapped to
     the distinguished token ``"NA"`` instead of being ordinary values.
+    Errors name the physical line of the file where the faulty row ends, so a
+    quoted cell that holds a newline counts as the lines it spans.
     """
     path = Path(path)
     with io.StringIO(read_text(path), newline="") as fh:
@@ -360,17 +362,17 @@ def load_csv(
             # reported only once every row has been checked
             d = header.index(decision) if decision in header else None
             rows, decisions = [], []
-            for lineno, raw in enumerate(reader, start=2):
+            for raw in reader:
                 if len(raw) != width:
                     raise RaggedRow(
-                        f"{path}: row at line {lineno} has {len(raw)} cells, expected {width}"
+                        f"{path}: row at line {reader.line_num} has {len(raw)} cells, expected {width}"
                     )
                 cells = [cell.strip() for cell in raw]
                 if na_token is not None and na_token in cells:
                     cells = [NA_VALUE if cell == na_token else cell for cell in cells]
                 if "" in cells:
                     raise MissingValue(
-                        f"{path}: missing value at line {lineno}, "
+                        f"{path}: missing value at line {reader.line_num}, "
                         f"column {header[cells.index('')]!r}"
                     )
                 if d is not None:

@@ -131,6 +131,8 @@ def _check_granule_args(r: Degree, inclusion: RoughInclusion) -> None:
         raise MereomlError("granules need a symmetric inclusion")
     if not 0 <= r <= 1:
         raise MereomlError(f"radius {r} outside [0, 1]")
+    if not hasattr(inclusion, "system"):
+        raise MereomlError("granules need an inclusion over a table's objects")
 
 
 def granule(center: int, r: Degree, inclusion: RoughInclusion) -> Granule:
@@ -156,10 +158,10 @@ def all_granules(r: Degree, inclusion: RoughInclusion) -> tuple[Granule, ...]:
     held by its granule's :class:`MemberView`.  No member set is built until
     one is asked for.
     """
+    _check_granule_args(r, inclusion)
     universe = inclusion.system.objects
     if not hasattr(inclusion, "membership_bits"):
         return tuple(granule(x, r, inclusion) for x in universe)
-    _check_granule_args(r, inclusion)
     rows = inclusion.membership_bits(r)
     return tuple(map(Granule, universe, repeat(r), map(MemberView, rows)))
 

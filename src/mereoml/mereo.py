@@ -4,8 +4,10 @@ A carrier is a finite set of named atoms.  Entities are the nonempty subsets
 of the carrier; the class operator of a family is its union, the product of
 two entities their intersection.  Because an intersection can vanish while
 the algebra itself has no zero, a single :data:`EMPTY` sentinel stands in for
-"no common part".  It behaves as a computational bottom (neutral for sums,
-absorbing for products, weight zero) but is not an entity of the universe.
+"no common part".  It holds no bits and no carrier, so each operation is one
+bit expression with no branch on it: EMPTY is neutral for sums, absorbing for
+products and weighs zero, but is not an entity of the universe, and only the
+complement, which needs a carrier, rejects it.
 
 Weights assign a positive rational mass to every atom and extend additively,
 which makes them monotone along the part relation and modular over sums.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, Union
 
 from .errors import CarrierMismatch, ClassOfEmptyFamily, MereomlError
@@ -64,6 +67,8 @@ class _EmptyEntity:
         return cls._instance
 
     is_empty = True
+    carrier = None
+    bits = 0
 
     def __repr__(self):
         return "EMPTY"
@@ -71,13 +76,7 @@ class _EmptyEntity:
     def __add__(self, other):
         return other
 
-    def __radd__(self, other):
-        return other
-
     def __mul__(self, other):
-        return self
-
-    def __rmul__(self, other):
         return self
 
     def __iter__(self) -> Iterator[str]:
@@ -139,10 +138,16 @@ class Entity:
 EntityLike = Union[Entity, _EmptyEntity]
 
 
-def _same_carrier(x: Entity, y: Entity) -> Carrier:
-    if x.carrier != y.carrier:
+def _carrier(x: EntityLike, y: EntityLike) -> Carrier:
+    """The carrier ``x`` and ``y`` share; EMPTY, on none, fits any."""
+    if x.carrier and y.carrier and x.carrier != y.carrier:
         raise CarrierMismatch(f"{x!r} and {y!r} live on different carriers")
-    return x.carrier
+    return x.carrier or y.carrier
+
+
+def _entity(carrier: Carrier, bits: int) -> EntityLike:
+    """The entity of ``bits`` on ``carrier``; EMPTY for no bits."""
+    return Entity(carrier, bits) if bits else EMPTY
 
 
 def part(x: EntityLike, y: EntityLike) -> bool:
@@ -152,19 +157,13 @@ def part(x: EntityLike, y: EntityLike) -> bool:
 
 def subst(x: EntityLike, y: EntityLike) -> bool:
     """Improper parthood (ingredient): every atom of ``x`` is an atom of ``y``."""
-    if x.is_empty:
-        return True
-    if y.is_empty:
-        return False
-    _same_carrier(x, y)
+    _carrier(x, y)
     return x.bits & ~y.bits == 0
 
 
 def overlap(x: EntityLike, y: EntityLike) -> bool:
     """``x`` and ``y`` share at least one atom."""
-    if x.is_empty or y.is_empty:
-        return False
-    _same_carrier(x, y)
+    _carrier(x, y)
     return x.bits & y.bits != 0
 
 
@@ -173,20 +172,11 @@ def exterior(x: EntityLike, y: EntityLike) -> bool:
 
 
 def entity_sum(x: EntityLike, y: EntityLike) -> EntityLike:
-    if x.is_empty:
-        return y
-    if y.is_empty:
-        return x
-    carrier = _same_carrier(x, y)
-    return Entity(carrier, x.bits | y.bits)
+    return _entity(_carrier(x, y), x.bits | y.bits)
 
 
 def entity_product(x: EntityLike, y: EntityLike) -> EntityLike:
-    if x.is_empty or y.is_empty:
-        return EMPTY
-    carrier = _same_carrier(x, y)
-    bits = x.bits & y.bits
-    return Entity(carrier, bits) if bits else EMPTY
+    return _entity(_carrier(x, y), x.bits & y.bits)
 
 
 def cls(family: Iterable[EntityLike]) -> Entity:
@@ -195,44 +185,33 @@ def cls(family: Iterable[EntityLike]) -> Entity:
     On a finite carrier this is the union.  The family must contain at least
     one nonempty entity.
     """
-    total: EntityLike = EMPTY
-    for member in family:
-        total = entity_sum(total, member)
-    if total.is_empty:
+    total = reduce(entity_sum, family, EMPTY)
+    if total is EMPTY:
         raise ClassOfEmptyFamily("cls needs at least one nonempty entity")
     return total
 
 
 def complement(x: EntityLike) -> EntityLike:
     """All atoms outside ``x``; EMPTY when ``x`` is the whole universe."""
-    if x.is_empty:
+    if x is EMPTY:
         raise MereomlError("the complement of EMPTY has no carrier to live on")
-    full = (1 << len(x.carrier.atoms)) - 1
-    bits = full & ~x.bits
-    return Entity(x.carrier, bits) if bits else EMPTY
+    return _entity(x.carrier, x.carrier.universe.bits & ~x.bits)
 
 
 def rel_complement(x: EntityLike, y: EntityLike) -> EntityLike:
     """The part of ``x`` outside ``y``, i.e. the product of ``x`` and ``-y``."""
-    if x.is_empty:
-        return EMPTY
-    if y.is_empty:
-        return x
-    carrier = _same_carrier(x, y)
-    bits = x.bits & ~y.bits
-    return Entity(carrier, bits) if bits else EMPTY
+    return _entity(_carrier(x, y), x.bits & ~y.bits)
 
 
 def implication(x: Entity, y: Entity) -> EntityLike:
     """The material implication entity ``-x + y``."""
-    _same_carrier(x, y)
+    _carrier(x, y)
     return entity_sum(complement(x), y)
 
 
 def is_valid_implication(x: Entity, y: Entity) -> bool:
     """True when ``-x + y`` is the whole universe, equivalently subst(x, y)."""
-    carrier = _same_carrier(x, y)
-    return implication(x, y) == carrier.universe
+    return implication(x, y) == _carrier(x, y).universe
 
 
 @dataclass(frozen=True)
@@ -269,10 +248,7 @@ class WeightFn:
         return cls(carrier, masses)
 
     def __call__(self, x: EntityLike) -> Fraction:
-        if x.is_empty:
-            return Fraction(0)
-        if x.carrier != self.carrier:
-            raise CarrierMismatch(f"{x!r} is not on this weight's carrier")
+        _carrier(x, self)
         raw = sum(
             (m for i, m in enumerate(self.masses) if x.bits >> i & 1), Fraction(0)
         )

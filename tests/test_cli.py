@@ -282,6 +282,18 @@ def test_load_ragged_file(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "last, message",
+    [("2", "row at line 4 has 1 cells, expected 2"), ("2,", "missing value at line 4, column 'b'")],
+    ids=["ragged", "missing"],
+)
+def test_load_errors_name_the_physical_line(capsys, tmp_path, last, message):
+    # the quoted cell spans lines 2 and 3, so the faulty row is on line 4
+    path = tmp_path / "multi.csv"
+    path.write_text(f'a,b\n"x\ny",1\n{last}\n', encoding="utf-8")
+    assert run(capsys, "load", str(path)) == (2, "", f"mereoml: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("line", [1, 2])
 def test_load_a_cell_past_the_field_limit_is_a_data_error(capsys, tmp_path, line):
     limit = csv.field_size_limit()
@@ -504,6 +516,16 @@ def test_granulate_writes_a_mirror_that_load_reads_back(capsys, tmp_path, rows):
     back = load_csv(mirror, decision="d")
     assert back.system.rows == tuple((a,) for a, _ in rows)
     assert back.decisions == tuple(d for _, d in rows)
+
+
+def test_granulate_quotes_a_lone_carriage_return(capsys, tmp_path):
+    table, mirror = tmp_path / "table.csv", tmp_path / "mirror.csv"
+    table.write_bytes(b'a,d\n"x\ry",p\nz,q\n')
+    argv = ("granulate", str(table), "--decision", "d", "--radius", "1", "--out", str(mirror))
+    assert run(capsys, *argv) == (0, "", "")
+    assert mirror.read_bytes() == b'a,d\n"x\ry",p\nz,q\n'
+    payload = run_json(capsys, "load", str(mirror), "--decision", "d")
+    assert (payload["objects"], payload["features"]) == (2, 1)
 
 
 # --- logic -----------------------------------------------------------------

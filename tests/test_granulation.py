@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mereoml import (
+    ArchimedeanInclusion,
     Covering,
     DecisionSystem,
     DeciderReport,
@@ -96,6 +97,16 @@ def test_granule_example():
 def test_granule_requires_symmetric_inclusion():
     with pytest.raises(MereomlError):
         granule(0.5, 0.5, ResidualInclusion())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda inc: granule(0, 0.5, inc), lambda inc: all_granules(0.5, inc)],
+    ids=["granule", "all_granules"],
+)
+def test_granules_need_an_inclusion_over_a_table(build):
+    with pytest.raises(MereomlError, match="^granules need an inclusion over a table's objects$"):
+        build(ArchimedeanInclusion())
 
 
 def test_granule_radius_bounds():

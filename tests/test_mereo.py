@@ -350,3 +350,75 @@ def test_weight_modularity_property(x, seed):
     lhs = w(x + y) + w(x * y)
     assert lhs == w(x) + w(y)
     assert 0 < w(x) <= 1
+
+
+# --- EMPTY against a set reference ----------------------------------------
+
+
+def test_operations_match_atom_sets_with_empty_exhaustive():
+    """Every operation on every pair from EMPTY and the 3-atom entities.
+
+    The reference is the frozenset of atom names, EMPTY being the empty set;
+    the implications are checked on entities only, as they take entities.
+    """
+    universe = frozenset(ABC.atoms)
+
+    def entity(atoms):
+        return ABC.entity(*atoms) if atoms else EMPTY
+
+    items = [EMPTY] + entities(ABC)
+    for w in weight_fns(ABC):
+        mass = dict(zip(ABC.atoms, w.masses))
+        for x in items:
+            assert w(x) == sum((mass[a] for a in x), Fraction(0)) / w.total
+    for x, y in itertools.product(items, repeat=2):
+        xs, ys = frozenset(x), frozenset(y)
+        assert subst(x, y) == (xs <= ys)
+        assert part(x, y) == (xs < ys)
+        assert overlap(x, y) == bool(xs & ys)
+        assert exterior(x, y) == (not xs & ys)
+        assert x + y == entity_sum(x, y) == entity(xs | ys)
+        assert x * y == entity_product(x, y) == entity(xs & ys)
+        assert rel_complement(x, y) == entity(xs - ys)
+        if x is not EMPTY:
+            assert x - y == entity(xs - ys)
+        if xs | ys:
+            assert cls([x, y]) == entity(xs | ys)
+        else:
+            with pytest.raises(ClassOfEmptyFamily):
+                cls([x, y])
+        if x is not EMPTY and y is not EMPTY:
+            assert implication(x, y) == entity((universe - xs) | ys)
+            assert is_valid_implication(x, y) == (xs <= ys)
+    for x in items:
+        if x is EMPTY:
+            with pytest.raises(MereomlError):
+                complement(x)
+        else:
+            assert complement(x) == entity(universe - frozenset(x))
+    with pytest.raises(TypeError):
+        -EMPTY
+    with pytest.raises(TypeError):
+        EMPTY - ABC.universe
+
+
+def test_carrier_mismatch_only_between_two_carriers_exhaustive():
+    """Two different carriers always clash; EMPTY never clashes with one."""
+    xy = Carrier(("x", "y"))
+    binary = [
+        subst, part, overlap, exterior, entity_sum, entity_product,
+        rel_complement, lambda a, b: cls([a, b]),
+    ]
+    for x, y in itertools.product(entities(ABC), entities(xy)):
+        for op in binary + [implication, is_valid_implication]:
+            with pytest.raises(CarrierMismatch):
+                op(x, y)
+            with pytest.raises(CarrierMismatch):
+                op(y, x)
+        with pytest.raises(CarrierMismatch):
+            WeightFn.uniform(ABC)(y)
+    for x in entities(ABC) + entities(xy):
+        for op in binary:
+            op(EMPTY, x)
+            op(x, EMPTY)
+        assert WeightFn.uniform(x.carrier)(EMPTY) == 0
