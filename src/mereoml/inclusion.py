@@ -88,7 +88,7 @@ def rs_star_is(x: int, y: int, system: InformationSystem | DecisionSystem) -> Fr
 
 @dataclass(frozen=True)
 class FeatureWeights:
-    """Positive per-feature weights for the exponential containment."""
+    """Positive finite weights of distinct features, for the exponential containment."""
 
     features: tuple[str, ...]
     values: tuple[float, ...]
@@ -98,8 +98,10 @@ class FeatureWeights:
             raise MereomlError(
                 f"{len(self.values)} weights for {len(self.features)} features"
             )
-        if any(v <= 0 for v in self.values):
-            raise MereomlError("feature weights must be positive")
+        if len(set(self.features)) != len(self.features):
+            raise MereomlError(f"duplicate features in {self.features}")
+        if not all(0 < v < math.inf for v in self.values):
+            raise MereomlError("feature weights must be positive and finite")
 
     @classmethod
     def uniform(cls, features: Sequence[str]) -> "FeatureWeights":
@@ -226,15 +228,15 @@ class ArchimedeanInclusion(RoughInclusion):
 
 
 class _TableInclusion(RoughInclusion):
-    """Object containment on a discrete table, read from its count matrix.
+    """Object containment on a discrete table: degrees from rows, granules from counts.
 
-    ``dis_counts`` counts the differing conditional features of every pair
-    of objects, as one :func:`dis_count_matrix` product, on first use.  Each
-    kind supplies ``_bounded(r)``, a matrix and a bound with degree(x, y) >= r
-    iff ``matrix[x, y] <= bound``; membership is that one comparison.  It is
-    read as a boolean row for one center, or as every row's integer bitset,
-    packed one row block at a time.  An object id outside the table raises
-    :class:`UnknownObject`.
+    A degree reads the two rows, so it builds no matrix.  Granule families
+    read ``dis_counts``, the differing conditional features of every pair of
+    objects, counted as one :func:`dis_count_matrix` product on first use.
+    Each kind supplies ``_bounded(r)``, a matrix and a bound with membership
+    at r iff ``matrix[x, y] <= bound``, read as a boolean row for one center,
+    or as every row's integer bitset, packed one row block at a time.  An
+    object id outside the table raises :class:`UnknownObject`.
     """
 
     symmetric = True
@@ -272,17 +274,15 @@ class _TableInclusion(RoughInclusion):
 class LukasiewiczInclusion(_TableInclusion):
     """Object containment on a discrete table: agreeing-feature fraction.
 
-    Degrees are exact rationals with denominator |F|.  The pairwise count of
-    differing features is cached as a matrix, so neighborhoods over all
-    objects cost one integer comparison per pair.
+    A degree is :func:`ind_fraction` of the two rows, an exact rational with
+    denominator |F|.  Granules compare the cached counts of differing
+    features with one integer bound, one comparison per pair.
     """
 
     system: InformationSystem | DecisionSystem
 
     def degree(self, x: int, y: int) -> Fraction:
-        self._table._check_object(x, y)
-        m = len(self._table.features)
-        return Fraction(m - int(self.dis_counts[x, y]), m)
+        return ind_fraction(x, y, self.system)
 
     def _bounded(self, r) -> tuple[np.ndarray, int]:
         """The counts, and the largest count with degree >= r: m*(1-r), floored exactly."""
@@ -293,13 +293,19 @@ class LukasiewiczInclusion(_TableInclusion):
 class ExponentialInclusion(_TableInclusion):
     """Object containment exp(-(weighted differing-feature sum)^2); symmetric.
 
-    Under the default uniform weights, the weight sum of k differing features
-    is ``_sums_by_count[k]``, so degrees and granules read ``dis_counts``.
-    Explicit weights sum per pair in ``dis_weight_sums``.
+    A degree is :func:`rs_star_exp` of the two rows.  Explicit weights must
+    weigh every table feature.  Granules under the default uniform weights
+    read ``dis_counts``, k differing features summing to ``_sums_by_count[k]``;
+    explicit weights sum per pair in ``dis_weight_sums``.
     """
 
     system: InformationSystem | DecisionSystem
     weights: FeatureWeights | None = None
+
+    def __post_init__(self):
+        if self.weights is not None:
+            for f in self._table.features:
+                self.weights(f)  # raises for a feature without a weight
 
     @cached_property
     def _sums_by_count(self) -> np.ndarray:
@@ -328,12 +334,7 @@ class ExponentialInclusion(_TableInclusion):
         return out
 
     def degree(self, x: int, y: int) -> float:
-        self._table._check_object(x, y)
-        if self.weights is None:
-            s = float(self._sums_by_count[self.dis_counts[x, y]])
-        else:
-            s = float(self.dis_weight_sums[x, y])
-        return math.exp(-(s * s))
+        return rs_star_exp(x, y, self.system, self.weights)
 
     @staticmethod
     def _limit(r: float) -> float:

@@ -320,12 +320,6 @@ def nu(mode: NuMode, x: AbstractSet[int], y: AbstractSet[int]) -> Fraction:
     return Fraction(inside, size) if size else Fraction(1)
 
 
-def _within(g: AbstractSet[int], m: MemberView) -> bool:
-    """Whether the granule g lies inside the meaning m."""
-    inside, size = _overlap(g, m)
-    return inside == size
-
-
 def extension(
     g: AbstractSet[int],
     formula: Formula,
@@ -337,12 +331,12 @@ def extension(
 
 
 def is_true_at(g: AbstractSet[int], formula: Formula, system) -> bool:
-    """Truth at a granule: the granule lies inside the meaning.
+    """Truth at a granule: the meaning contains it to degree 1.
 
     For a rule a -> b this is equivalent to (g intersect [a]) being inside
     [b], since the meaning of the rule is the material implication set.
     """
-    return _within(g, meaning(formula, system))
+    return nu(NuMode.NU3, g, meaning(formula, system)) == 1
 
 
 @dataclass(frozen=True)
@@ -362,7 +356,7 @@ class GranuleSet:
 def is_valid(granules: GranuleSet | Iterable[AbstractSet[int]], formula: Formula, system) -> bool:
     """Validity: truth at the union of all granules, so at each of them."""
     m = meaning(formula, system)
-    return all(_within(g, m) for g in granules)
+    return all(nu(NuMode.NU3, g, m) == 1 for g in granules)
 
 
 def graded_truth(

@@ -74,10 +74,10 @@ class _EmptyEntity:
         return "EMPTY"
 
     def __add__(self, other):
-        return other
+        return entity_sum(self, other)
 
     def __mul__(self, other):
-        return self
+        return entity_product(self, other)
 
     def __iter__(self) -> Iterator[str]:
         return iter(())
@@ -140,6 +140,8 @@ EntityLike = Union[Entity, _EmptyEntity]
 
 def _carrier(x: EntityLike, y: EntityLike) -> Carrier:
     """The carrier ``x`` and ``y`` share; EMPTY, on none, fits any."""
+    if not isinstance(x, EntityLike) or not isinstance(y, EntityLike | WeightFn):
+        raise TypeError(f"part-whole operands must be entities, not {x!r} and {y!r}")
     if x.carrier and y.carrier and x.carrier != y.carrier:
         raise CarrierMismatch(f"{x!r} and {y!r} live on different carriers")
     return x.carrier or y.carrier

@@ -173,6 +173,19 @@ def _entities(carrier):
 
 # --- table forms -----------------------------------------------------------
 
+
+def _matrix_degree(inc, x, y):
+    """The degree of (x, y) as the granule families' cached matrix holds it."""
+    if isinstance(inc, LukasiewiczInclusion):
+        m = len(inc._table.features)
+        return Fraction(m - int(inc.dis_counts[x, y]), m)
+    if inc.weights is None:
+        s = float(inc._sums_by_count[inc.dis_counts[x, y]])
+    else:
+        s = float(inc.dis_weight_sums[x, y])
+    return math.exp(-(s * s))
+
+
 T3 = InformationSystem(
     ("f", "g", "h"),
     (("1", "0", "0"), ("1", "0", "1"), ("0", "1", "1")),
@@ -210,6 +223,7 @@ def test_rs_star_exp_adds_weights_in_table_feature_order(table, data):
     inc = ExponentialInclusion(table, fw)
     for x, y in itertools.product(table.objects, repeat=2):
         assert rs_star_exp(x, y, table, fw).hex() == inc.degree(x, y).hex(), (x, y)
+        assert _matrix_degree(inc, x, y).hex() == inc.degree(x, y).hex(), (x, y)
 
 
 def test_rs_star_exp_needs_weights_only_for_differing_features():
@@ -256,6 +270,28 @@ def test_feature_weights_validation():
     assert fw.total(["a", "b"]) == pytest.approx(1)
     with pytest.raises(MereomlError):
         fw("zzz")
+
+
+def test_exponential_inclusion_needs_a_weight_for_every_feature():
+    # the row form asks only for the weights of differing features, but the
+    # inclusion's granules weigh every feature, so it takes all or none
+    with pytest.raises(MereomlError, match="no weight for feature 'f'"):
+        ExponentialInclusion(T3, FeatureWeights(("h",), (0.5,)))
+    with pytest.raises(MereomlError, match="no weight for feature 'g'"):
+        ExponentialInclusion(T3, FeatureWeights(("h", "f"), (0.5, 0.25)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_feature_weights_reject_non_finite_values(bad):
+    with pytest.raises(MereomlError, match="positive and finite"):
+        FeatureWeights(("f", "g", "h"), (0.5, bad, 0.25))
+
+
+def test_feature_weights_reject_duplicate_features():
+    with pytest.raises(MereomlError, match="duplicate features"):
+        FeatureWeights(("f", "f"), (0.5, 0.7))
+    with pytest.raises(MereomlError, match="duplicate features"):
+        FeatureWeights(("f", "g", "h", "g"), (0.5, 0.25, 0.25, 0.5))
 
 
 def test_row_degrees_match_table_forms():
@@ -348,6 +384,7 @@ def test_lukasiewicz_inclusion_matches_ind(table):
     n = len(table.rows)
     for x, y in itertools.product(range(n), repeat=2):
         assert inc.degree(x, y) == ind_fraction(x, y, table)
+        assert inc.degree(x, y) == _matrix_degree(inc, x, y)
 
 
 def test_tokens_differing_by_trailing_nul_stay_distinct(tmp_path):
@@ -392,6 +429,7 @@ def test_exponential_degree_is_bit_equal_to_the_row_form():
         for x in table.objects
         for y in table.objects
         if inc.degree(x, y) != exp_row_degree(table.rows[x], table.rows[y], fw)
+        or inc.degree(x, y).hex() != _matrix_degree(inc, x, y).hex()
     ]
     assert differ == []
 
@@ -408,6 +446,67 @@ def test_dis_weight_sums_memory_stays_quadratic():
         tracemalloc.stop()
     assert sums.shape == (n, n)
     assert peak < 20 * n * n
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        LukasiewiczInclusion,
+        ExponentialInclusion,
+        lambda t: ExponentialInclusion(
+            t, FeatureWeights(t.features[::-1], tuple(1 / (j + 2) for j in range(len(t.features))))
+        ),
+    ],
+)
+def test_one_degree_reads_two_rows_not_the_matrix(make):
+    inc = make(_seeded_table(2000, 14))
+    tracemalloc.start()
+    try:
+        inc.degree(0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# The agents net's shape: four 16-row, 3-feature input agents, two consumers
+# over pairs of them and a top consumer of 16**4 rows.  Its n x n matrix
+# would take gigabytes, more than the address-space cap allows.
+_TOP_CONSUMER_DEGREES = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+import random
+from mereoml import (ExponentialInclusion, FeatureWeights, InformationSystem,
+                     LukasiewiczInclusion, exp_row_degree, lukasiewicz_row_degree)
+from mereoml.net import Agent, consumer_from
+rng = random.Random(0)
+inputs = []
+for a in range(4):
+    features = tuple(f"f{a}_{j}" for j in range(3))
+    rows = tuple(tuple(f"v{rng.randrange(4)}" for _ in features) for _ in range(16))
+    inputs.append(Agent(f"in{a}", InformationSystem(features, rows), (0,)))
+top = consumer_from("top", [consumer_from("mid0", inputs[:2]), consumer_from("mid1", inputs[2:])])
+table = top.system
+x, y = 0, len(table.rows) - 1
+fw = FeatureWeights.uniform(table.features)
+print(len(table.rows))
+rx, ry = table.rows[x], table.rows[y]
+print(LukasiewiczInclusion(table).degree(x, y), lukasiewicz_row_degree(rx, ry))
+print(ExponentialInclusion(table).degree(x, y).hex(), exp_row_degree(rx, ry, fw).hex())
+"""
+
+
+def test_degrees_of_a_65536_row_consumer_under_an_address_space_cap():
+    src = str(Path(mereoml.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _TOP_CONSUMER_DEGREES],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+    )
+    assert done.returncode == 0, done.stderr
+    rows, luk, exp = (line.split() for line in done.stdout.splitlines())
+    assert rows == ["65536"]
+    assert luk[0] == luk[1] and exp[0] == exp[1]
 
 
 def test_counts_hold_more_differing_features_than_int16():
@@ -459,6 +558,7 @@ def test_explicit_weights_keep_their_own_sums():
     for r in (0, 0.2, 0.5, 0.9, 1):
         assert np.array_equal(_mask_matrix(inc, r), ref <= ExponentialInclusion._limit(r))
     assert inc.degree(3, 7) == exp_row_degree(table.rows[3], table.rows[7], fw)
+    assert inc.degree(3, 7).hex() == _matrix_degree(inc, 3, 7).hex()
 
 
 def test_exponential_membership_memory_stays_below_four_bytes_a_pair():

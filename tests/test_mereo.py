@@ -422,3 +422,34 @@ def test_carrier_mismatch_only_between_two_carriers_exhaustive():
             op(EMPTY, x)
             op(x, EMPTY)
         assert WeightFn.uniform(x.carrier)(EMPTY) == 0
+
+
+def test_operands_that_are_not_entities_raise_type_error():
+    x = ABC.entity("a")
+    w = WeightFn.uniform(ABC)
+    cases = [
+        lambda: EMPTY + 3,
+        lambda: EMPTY * "s",
+        lambda: x + 3,
+        lambda: x * 3,
+        lambda: x - 3,
+        lambda: subst(x, 3),
+        lambda: subst(3, x),
+        lambda: overlap(x, 3),
+        lambda: part(x, "a"),
+        lambda: exterior(x, None),
+        lambda: entity_sum(x, 3),
+        lambda: entity_product(3, x),
+        lambda: rel_complement(x, 3),
+        lambda: implication(x, 3),
+        lambda: cls([x, 3]),
+        lambda: w(3),
+        lambda: w(w),
+        lambda: weight(w, "a"),
+    ]
+    for case in cases:
+        with pytest.raises(TypeError):
+            case()
+    # EMPTY's sum and product still go through the algebra's own operations
+    assert EMPTY + x == x and x + EMPTY == x
+    assert EMPTY * x is EMPTY and EMPTY + EMPTY is EMPTY
