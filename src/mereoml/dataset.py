@@ -474,7 +474,7 @@ def dis(x: int, y: int, system: InformationSystem | DecisionSystem) -> frozenset
 def ind_fraction(x: int, y: int, system: InformationSystem | DecisionSystem) -> Fraction:
     """The exact fraction of conditional features on which ``x`` and ``y`` agree."""
     _, rx, ry = _pair(x, y, system)
-    return Fraction(len(rx) - row_dis_count(rx, ry), len(rx))
+    return lukasiewicz_row_degree(rx, ry)
 
 
 def row_dis_count(row_a: Sequence[str], row_b: Sequence[str]) -> int:
@@ -482,3 +482,10 @@ def row_dis_count(row_a: Sequence[str], row_b: Sequence[str]) -> int:
     if len(row_a) != len(row_b):
         raise ParameterError(f"row lengths differ: {len(row_a)} vs {len(row_b)}")
     return sum(map(operator.ne, row_a, row_b))
+
+
+def lukasiewicz_row_degree(row_a: Sequence[str], row_b: Sequence[str]) -> Fraction:
+    """Agreeing-position fraction of two aligned value rows; 1 over no position,
+    as two rows that no feature tells apart are indiscernible."""
+    differing = row_dis_count(row_a, row_b)
+    return Fraction(len(row_a) - differing, len(row_a)) if row_a else Fraction(1)

@@ -15,6 +15,7 @@ what makes the bound sound (see the function docstring).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,7 +33,7 @@ from .dataset import (
     dis,
     dis_count_matrix,
     ind_fraction,
-    row_dis_count,
+    lukasiewicz_row_degree,
 )
 from .errors import DegreeUnderflow, MereomlError
 from .mereo import Entity, EntityLike, WeightFn, entity_product
@@ -136,11 +137,6 @@ def rs_star_exp(
     return math.exp(-(s * s))
 
 
-def lukasiewicz_row_degree(row_a: Sequence[str], row_b: Sequence[str]) -> Fraction:
-    """Agreeing-position fraction of two aligned value rows."""
-    return Fraction(len(row_a) - row_dis_count(row_a, row_b), len(row_a))
-
-
 def exp_row_degree(
     row_a: Sequence[str], row_b: Sequence[str], fw: FeatureWeights
 ) -> float:
@@ -233,10 +229,10 @@ class _TableInclusion(RoughInclusion):
     A degree reads the two rows, so it builds no matrix.  Granule families
     read ``dis_counts``, the differing conditional features of every pair of
     objects, counted as one :func:`dis_count_matrix` product on first use.
-    Each kind supplies ``_bounded(r)``, a matrix and a bound with membership
-    at r iff ``matrix[x, y] <= bound``, read as a boolean row for one center,
-    or as every row's integer bitset, packed one row block at a time.  An
-    object id outside the table raises :class:`UnknownObject`.
+    Each kind supplies ``_bounded(r)``, a matrix and a bound from its degree
+    formula, with ``matrix[x, y] <= bound`` iff degree(x, y) >= r, read as a
+    boolean row for one center, or as every row's integer bitset, packed one
+    row block at a time.  An object id outside the table raises :class:`UnknownObject`.
     """
 
     symmetric = True
@@ -285,8 +281,10 @@ class LukasiewiczInclusion(_TableInclusion):
         return ind_fraction(x, y, self.system)
 
     def _bounded(self, r) -> tuple[np.ndarray, int]:
-        """The counts, and the largest count with degree >= r: m*(1-r), floored exactly."""
-        return self.dis_counts, math.floor(len(self._table.features) * (1 - Fraction(r)))
+        """The counts, and the largest count with degree >= r: m*(1-r), floored
+        exactly, or -1 past 1, the degree of every pair on a table without features."""
+        m = len(self._table.features)
+        return self.dis_counts, math.floor(m * (1 - Fraction(r))) if r <= 1 else -1
 
 
 @dataclass(frozen=True)
@@ -296,7 +294,8 @@ class ExponentialInclusion(_TableInclusion):
     A degree is :func:`rs_star_exp` of the two rows.  Explicit weights must
     weigh every table feature.  Granules under the default uniform weights
     read ``dis_counts``, k differing features summing to ``_sums_by_count[k]``;
-    explicit weights sum per pair in ``dis_weight_sums``.
+    explicit weights sum per pair in ``dis_weight_sums``.  A granule keeps the
+    sums whose float degree, formed as :func:`rs_star_exp` forms it, is >= r.
     """
 
     system: InformationSystem | DecisionSystem
@@ -336,24 +335,16 @@ class ExponentialInclusion(_TableInclusion):
     def degree(self, x: int, y: int) -> float:
         return rs_star_exp(x, y, self.system, self.weights)
 
-    @staticmethod
-    def _limit(r: float) -> float:
-        """Largest weight sum S with exp(-S^2) >= r: sqrt(-ln r), with slack.
+    def _bounded(self, r) -> tuple[np.ndarray, float]:
+        """The counts, or under explicit weights the sums, and the largest one
+        whose degree passes ``math.exp(-(s * s)) >= r``, or -1 if none does.
 
-        An exact radius too small for a float, such as 1e-400, takes its
-        logarithm from its numerator and denominator.
+        The degree falls as the sum grows, so the sorted sums bisect under the
+        negated test, and a NaN radius, which no degree passes, keeps no object.
         """
-        if r <= 0:
-            return math.inf
-        log_r = math.log(r) if float(r) else math.log(r.numerator) - math.log(r.denominator)
-        # small slack absorbs fp noise
-        return math.sqrt(-log_r) + 1e-12
-
-    def _bounded(self, r: float) -> tuple[np.ndarray, float]:
-        """The sums and the limit, or under uniform weights the counts and the
-        largest count whose sum stays within the limit: the sums grow with it.
-        """
-        limit = self._limit(r)
-        if self.weights is not None:
-            return self.dis_weight_sums, limit
-        return self.dis_counts, int(np.searchsorted(self._sums_by_count, limit, "right")) - 1
+        uniform = self.weights is None
+        sums = self._sums_by_count if uniform else np.sort(self.dis_weight_sums, axis=None)
+        k = bisect_left(sums, True, key=lambda s: not math.exp(-(s * s)) >= r)
+        if uniform:
+            return self.dis_counts, k - 1
+        return self.dis_weight_sums, sums[k - 1] if k else -1

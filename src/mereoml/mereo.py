@@ -195,7 +195,7 @@ def cls(family: Iterable[EntityLike]) -> Entity:
 
 def complement(x: EntityLike) -> EntityLike:
     """All atoms outside ``x``; EMPTY when ``x`` is the whole universe."""
-    if x is EMPTY:
+    if not _carrier(x, x):
         raise MereomlError("the complement of EMPTY has no carrier to live on")
     return _entity(x.carrier, x.carrier.universe.bits & ~x.bits)
 

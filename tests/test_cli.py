@@ -378,7 +378,8 @@ def test_classify_empty_radii_is_a_bad_radius(capsys, table_csv):
     ids=lambda argv: argv[0],
 )
 def test_exp_radius_below_the_smallest_float_acts_as_radius_zero(capsys, table_csv, argv):
-    """1e-400 is a float 0.0: its limit comes from the exact logarithm."""
+    """1e-400 is a float 0.0, but it is compared exactly with each float
+    degree, and under uniform weights no degree is below exp(-1)."""
     code, out, err = run(capsys, argv[0], table_csv, "--decision", "d",
                          *(a.format(r="1e-400") for a in argv[1:]))
     assert (code, err) == (0, "")

@@ -30,6 +30,7 @@ from mereoml import (
     UnknownObject,
     WeightFn,
     WeightRatioInclusion,
+    all_granules,
     complement,
     exp_compose,
     exp_row_degree,
@@ -522,6 +523,18 @@ def test_counts_hold_more_differing_features_than_int16():
     assert granule(0, 1, inc).members == frozenset({0})
 
 
+def test_a_degree_over_no_feature_is_1():
+    """Two rows that no feature tells apart are indiscernible."""
+    table = InformationSystem((), ((), (), ()))
+    everyone = frozenset(table.objects)
+    assert lukasiewicz_row_degree((), ()) == 1
+    for inc in LukasiewiczInclusion(table), ExponentialInclusion(table):
+        assert inc.degree(0, 1) == 1
+        assert granule(0, 1, inc).members == everyone
+        assert all(g.members == everyone for g in all_granules(1, inc))
+        assert not inc.membership_mask(0, 1.5).any()
+
+
 def _mask_matrix(inc, r):
     """The boolean matrix whose row c is ``inc.membership_mask(c, r)``."""
     rows = [inc.membership_mask(c, r) for c in inc.system.objects]
@@ -536,6 +549,12 @@ def ref_dis_weight_sums(table, fw):
     return out
 
 
+def ref_members(sums, r):
+    """The boolean matrix {degree >= r}, each degree exp(-(s * s)) of its pair's sum."""
+    keep = {s: math.exp(-(s * s)) >= r for s in set(sums.flat)}
+    return np.vectorize(keep.__getitem__, otypes=[bool])(sums)
+
+
 @pytest.mark.parametrize("n, m", [(0, 3), (1, 1), (138, 14), (300, 14), (60, 40)])
 def test_uniform_weight_sums_are_bit_equal_to_the_column_loop(n, m):
     table = _seeded_table(n, m)
@@ -543,7 +562,7 @@ def test_uniform_weight_sums_are_bit_equal_to_the_column_loop(n, m):
     ref = ref_dis_weight_sums(table, FeatureWeights.uniform(table.features))
     assert inc.dis_weight_sums.tobytes() == ref.tobytes()
     for r in [*radius_grid(m), 0, 1e-300, 1]:
-        expect = ref <= ExponentialInclusion._limit(r)
+        expect = ref_members(ref, r)
         assert np.array_equal(_mask_matrix(inc, r), expect), r
         for center in range(n)[:1]:
             assert np.array_equal(inc.membership_mask(center, r), expect[center]), r
@@ -556,7 +575,7 @@ def test_explicit_weights_keep_their_own_sums():
     ref = ref_dis_weight_sums(table, fw)
     assert inc.dis_weight_sums.tobytes() == ref.tobytes()
     for r in (0, 0.2, 0.5, 0.9, 1):
-        assert np.array_equal(_mask_matrix(inc, r), ref <= ExponentialInclusion._limit(r))
+        assert np.array_equal(_mask_matrix(inc, r), ref_members(ref, r))
     assert inc.degree(3, 7) == exp_row_degree(table.rows[3], table.rows[7], fw)
     assert inc.degree(3, 7).hex() == _matrix_degree(inc, 3, 7).hex()
 
@@ -588,9 +607,30 @@ def test_membership_masks_match_brute_force(table, data):
     exp_inc = ExponentialInclusion(table)
     emask = exp_inc.membership_mask(0, float(r))
     eexpect = np.array(
-        [exp_inc.degree(y, 0) >= float(r) - 1e-12 for y in range(len(table.rows))]
+        [exp_inc.degree(y, 0) >= float(r) for y in range(len(table.rows))]
     )
     assert (emask == eexpect).all()
+
+
+@hypothesis.given(tables(max_objects=8), strat.data())
+def test_granules_hold_exactly_the_objects_whose_degree_reaches_the_radius(table, data):
+    """granule(c, r) and row c of all_granules(r) are {y : degree(y, c) >= r}
+    under both table kinds, uniform and explicit weights, with r at a degree
+    and one ulp to either side."""
+    weights = data.draw(strat.lists(
+        strat.floats(1 / 64, 4), min_size=len(table.features), max_size=len(table.features)
+    ))
+    fw = FeatureWeights(table.features, tuple(weights))
+    pairs = list(itertools.product(table.objects, repeat=2))
+    for inc in LukasiewiczInclusion(table), ExponentialInclusion(table), ExponentialInclusion(table, fw):
+        c, x = data.draw(strat.sampled_from(pairs))
+        d = inc.degree(x, c)
+        for r in d, math.nextafter(d, -1), math.nextafter(d, 2):
+            if not 0 <= r <= 1:
+                continue
+            expect = {y for y in table.objects if inc.degree(y, c) >= r}
+            assert granule(c, r, inc).members == expect, (inc, r)
+            assert all_granules(r, inc)[c].members == expect, (inc, r)
 
 
 @pytest.mark.parametrize(
@@ -617,8 +657,12 @@ def test_exponential_mask_at_zero_radius():
     inc = ExponentialInclusion(T3)
     assert inc.membership_mask(1, 0).all()
     assert inc.membership_mask(1, -1).all()
-    # a float rounds this radius to 0.0; its exact logarithm still bounds the sums
+    # a float rounds this radius to 0.0; compared exactly, every degree passes it
     assert inc.membership_mask(1, Fraction(1, 10**400)).all()
+    # no degree passes a radius above 1
+    for kind in LukasiewiczInclusion(T3), inc:
+        assert not kind.membership_mask(1, 1.5).any()
+        assert kind.membership_bits(1.5) == [0] * len(T3.rows)
 
 
 def test_exponential_inclusion_respects_custom_weights():

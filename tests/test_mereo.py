@@ -442,6 +442,7 @@ def test_operands_that_are_not_entities_raise_type_error():
         lambda: entity_product(3, x),
         lambda: rel_complement(x, 3),
         lambda: implication(x, 3),
+        lambda: complement(3),
         lambda: cls([x, 3]),
         lambda: w(3),
         lambda: w(w),
