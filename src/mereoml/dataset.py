@@ -105,11 +105,12 @@ class EncodedTable:
         return tuple(map(tuple, tokens[self.codes + offsets].tolist()))
 
     def lookup(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
-        """Codes of outside rows, as wide as they are, in this vocabulary; -1 for unseen tokens."""
+        """Codes of outside rows, as wide as they are, in this vocabulary; a token
+        column j lacks is one more code, ``len(vocab[j])``, which no row holds."""
         columns = list(zip(self.index, zip(*rows)))
         codes = np.empty((len(rows), len(columns)), dtype=self.codes.dtype)
         for j, (index, column) in enumerate(columns):
-            codes[:, j] = list(map(index.get, column, repeat(-1)))
+            codes[:, j] = list(map(index.get, column, repeat(len(index))))
         return codes
 
 
@@ -135,18 +136,15 @@ def dis_count_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a's codes pick: integers, added in the narrowest unsigned dtype that
     holds the column count.  Rows of a are summed in blocks whose picked
     rows take ``COUNT_BLOCK_BYTES``.  A column with more than
-    ``WIDE_COLUMN`` codes is compared directly.  A code of -1, which only
-    a's rows hold (a token the vocabulary lacks), differs from every code.
+    ``WIDE_COLUMN`` codes is compared directly.  Codes are non-negative, and
+    one that only a's rows hold (an unseen token's) differs from every code.
     """
     out = np.empty((len(a), len(b)), dtype=np.min_scalar_type(a.shape[1]))
-    top = np.maximum.reduce(np.vstack((a, b)), axis=0, initial=-1)
+    top = np.maximum.reduce(np.vstack((a, b)), axis=0, initial=0)
     narrow = top < WIDE_COLUMN
     wide = [] if narrow.all() else list(zip(a.T[~narrow], b.T[~narrow]))
-    # narrow column j's code t picks row j * stride + t.  No row of b holds
-    # the code stride - 1, so each column's last row is all ones, and a code
-    # of -1 picks the last row of the column before (for column 0, of the
-    # last column).
-    stride = int(np.maximum.reduce(top[narrow], initial=-1)) + 2
+    # narrow column j's code t picks row j * stride + t
+    stride = int(np.maximum.reduce(top[narrow], initial=0)) + 1
     differs = (b.T[narrow, None, :] != np.arange(stride)[:, None]).view(np.uint8)
     differs = differs.reshape(len(differs) * stride, len(b))
     codes = a.T[narrow]

@@ -131,39 +131,34 @@ def _check_granule_args(r: Degree, inclusion: RoughInclusion) -> None:
         raise MereomlError("granules need a symmetric inclusion")
     if not 0 <= r <= 1:
         raise MereomlError(f"radius {r} outside [0, 1]")
-    if not hasattr(inclusion, "system"):
+    if not hasattr(inclusion, "membership_bits"):
         raise MereomlError("granules need an inclusion over a table's objects")
 
 
 def granule(center: int, r: Degree, inclusion: RoughInclusion) -> Granule:
-    """The neighborhood {y : degree(y, center) >= r}.
+    """The neighborhood {y : degree(y, center) >= r}, read from a table
+    inclusion's ``membership_mask``.
 
     Requires a symmetric inclusion; otherwise the neighborhood reading and
     the class-based reading of a granule part ways.
     """
     _check_granule_args(r, inclusion)
-    if hasattr(inclusion, "membership_mask"):
-        bits = pack_rows(inclusion.membership_mask(center, r)[None])[0]
-    else:
-        bits = member_bits({y for y in inclusion.system.objects if inclusion.degree(y, center) >= r})
+    bits = pack_rows(inclusion.membership_mask(center, r)[None])[0]
     return Granule(center, r, MemberView(bits))
 
 
 def all_granules(r: Degree, inclusion: RoughInclusion) -> tuple[Granule, ...]:
     """One granule per object, in object order.
 
-    With an inclusion offering ``membership_bits``, the granules of the
-    radius are one family: the rows of its membership matrix, which it packs
-    block by block into integer bitsets without building the matrix, each
-    held by its granule's :class:`MemberView`.  No member set is built until
-    one is asked for.
+    The granules of the radius are one family: the rows of a table
+    inclusion's membership matrix, which ``membership_bits`` packs block by
+    block into integer bitsets without building the matrix, each held by its
+    granule's :class:`MemberView`.  No member set is built until one is
+    asked for.
     """
     _check_granule_args(r, inclusion)
-    universe = inclusion.system.objects
-    if not hasattr(inclusion, "membership_bits"):
-        return tuple(granule(x, r, inclusion) for x in universe)
     rows = inclusion.membership_bits(r)
-    return tuple(map(Granule, universe, repeat(r), map(MemberView, rows)))
+    return tuple(map(Granule, inclusion.system.objects, repeat(r), map(MemberView, rows)))
 
 
 def irreducible_covering(granules: Sequence[Granule], universe: frozenset[int]) -> Covering:

@@ -282,9 +282,9 @@ class LukasiewiczInclusion(_TableInclusion):
 
     def _bounded(self, r) -> tuple[np.ndarray, int]:
         """The counts, and the largest count with degree >= r: m*(1-r), floored
-        exactly, or -1 past 1, the degree of every pair on a table without features."""
+        exactly with r clamped at 0, or -1 past 1 (or NaN), which no degree reaches."""
         m = len(self._table.features)
-        return self.dis_counts, math.floor(m * (1 - Fraction(r))) if r <= 1 else -1
+        return self.dis_counts, math.floor(m * (1 - Fraction(max(r, 0)))) if r <= 1 else -1
 
 
 @dataclass(frozen=True)
@@ -294,8 +294,8 @@ class ExponentialInclusion(_TableInclusion):
     A degree is :func:`rs_star_exp` of the two rows.  Explicit weights must
     weigh every table feature.  Granules under the default uniform weights
     read ``dis_counts``, k differing features summing to ``_sums_by_count[k]``;
-    explicit weights sum per pair in ``dis_weight_sums``.  A granule keeps the
-    sums whose float degree, formed as :func:`rs_star_exp` forms it, is >= r.
+    explicit weights sum per pair in ``dis_weight_sums``, sorted once.  A granule
+    keeps the sums whose float degree, formed as :func:`rs_star_exp` forms it, is >= r.
     """
 
     system: InformationSystem | DecisionSystem
@@ -332,6 +332,10 @@ class ExponentialInclusion(_TableInclusion):
             out += (col[:, None] != col[None, :]) * self.weights(f)
         return out
 
+    @cached_property
+    def _sorted_weight_sums(self) -> np.ndarray:
+        return np.sort(self.dis_weight_sums, axis=None)
+
     def degree(self, x: int, y: int) -> float:
         return rs_star_exp(x, y, self.system, self.weights)
 
@@ -343,7 +347,7 @@ class ExponentialInclusion(_TableInclusion):
         negated test, and a NaN radius, which no degree passes, keeps no object.
         """
         uniform = self.weights is None
-        sums = self._sums_by_count if uniform else np.sort(self.dis_weight_sums, axis=None)
+        sums = self._sums_by_count if uniform else self._sorted_weight_sums
         k = bisect_left(sums, True, key=lambda s: not math.exp(-(s * s)) >= r)
         if uniform:
             return self.dis_counts, k - 1

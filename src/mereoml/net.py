@@ -79,13 +79,14 @@ def consumer_from(
 ) -> Agent:
     """Build the consumer of the given producers.
 
-    Without selectors the universe is the full Cartesian product of the
-    producer universes.  It stays implicit: rows and selectors are
-    :class:`CartesianRows` that decode a row from its index on demand, and
-    the targets, every fusion of producer targets, are computed as
-    mixed-radix indices.  An explicit selector list (tuples of producer
-    object ids) narrows the universe to those rows; rows fusing only
-    producer targets become the consumer's targets.
+    Its universe is the Cartesian product of the producer universes, and a
+    product row fusing only producer targets is a target.  Without
+    selectors the whole product is the universe.  It stays implicit: rows
+    and selectors are :class:`CartesianRows` that decode a row from its
+    mixed-radix index on demand, and the targets are computed as such
+    indices.  An explicit selector list (tuples of producer object ids)
+    narrows the universe to those rows: each selector is one product index,
+    and an id outside its producer raises :class:`NetworkError`.
     """
     if not producers:
         raise NetworkError("a consumer needs at least one producer")
@@ -95,40 +96,26 @@ def consumer_from(
             if f in features:
                 raise NetworkError(f"feature {f!r} owned by two producers of {name!r}")
             features.append(f)
+    sizes = [len(p.system.rows) for p in producers]
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    universe = CartesianRows(p.system.rows for p in producers)
+    fused_targets = itertools.product(*(sorted(set(p.targets)) for p in producers))
+    targets = tuple(sum(map(operator.mul, sel, strides)) for sel in fused_targets)
     if selectors is None:
-        sizes = [len(p.system.rows) for p in producers]
-        strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
-        fused_targets = itertools.product(*(sorted(set(p.targets)) for p in producers))
-        return Agent(
-            name,
-            InformationSystem(
-                tuple(features), CartesianRows(p.system.rows for p in producers)
-            ),
-            tuple(sum(map(operator.mul, sel, strides)) for sel in fused_targets),
-            tuple(producers),
-            CartesianRows(tuple((i,) for i in range(n)) for n in sizes),
-        )
-    rows = []
-    for sel in selectors:
-        if len(sel) != len(producers):
-            raise NetworkError(f"selector {sel} has wrong arity for {name!r}")
-        row: tuple[str, ...] = ()
-        for p, i in zip(producers, sel):
-            row += p.system.rows[i]
-        rows.append(row)
-    target_sets = [set(p.targets) for p in producers]
-    targets = tuple(
-        i
-        for i, sel in enumerate(selectors)
-        if all(x in ts for x, ts in zip(sel, target_sets))
-    )
-    return Agent(
-        name,
-        InformationSystem(tuple(features), tuple(rows)),
-        targets,
-        tuple(producers),
-        tuple(tuple(sel) for sel in selectors),
-    )
+        rows, selectors = universe, CartesianRows(tuple((i,) for i in range(n)) for n in sizes)
+    else:
+        indices = []
+        for sel in selectors:
+            if len(sel) != len(producers):
+                raise NetworkError(f"selector {sel} has wrong arity for {name!r}")
+            if not all(0 <= i < n for i, n in zip(sel, sizes)):
+                raise NetworkError(f"selector {sel} of {name!r} is outside its producers")
+            indices.append(sum(map(operator.mul, sel, strides)))
+        rows = tuple(map(universe.__getitem__, indices))
+        fused = set(targets)
+        targets = tuple(i for i, k in enumerate(indices) if k in fused)
+        selectors = tuple(map(tuple, selectors))
+    return Agent(name, InformationSystem(tuple(features), rows), targets, tuple(producers), selectors)
 
 
 @dataclass(frozen=True)

@@ -491,10 +491,12 @@ def ref_dis_count_matrix(a, b):
 
 @strat.composite
 def code_pairs(draw):
-    """Code matrices a and b of equal width; a may hold -1, b may not.
+    """Code matrices a and b of equal width, with non-negative codes.
 
-    Columns draw their codes below a per-column width, which may exceed
-    ``WIDE_COLUMN``; rows and columns may be none.
+    Columns draw b's codes below a per-column width, which may exceed
+    ``WIDE_COLUMN``, and a's up to that width, a code that no row of b
+    holds, as :meth:`EncodedTable.lookup` gives an unseen token; rows and
+    columns may be none.
     """
     m = draw(strat.integers(0, 6))
     widths = draw(strat.lists(
@@ -502,13 +504,13 @@ def code_pairs(draw):
         min_size=m, max_size=m,
     ))
 
-    def rows(count, low):
-        cells = [strat.integers(low, w - 1) for w in widths]
+    def rows(count, top):
+        cells = [strat.integers(0, w + top) for w in widths]
         return strat.lists(strat.tuples(*cells), min_size=count, max_size=count)
 
     na, nb = draw(strat.integers(0, 12)), draw(strat.integers(0, 12))
-    a = np.array(draw(rows(na, -1)), dtype=np.int16).reshape(na, m)
-    b = np.array(draw(rows(nb, 0)), dtype=np.int16).reshape(nb, m)
+    a = np.array(draw(rows(na, 0)), dtype=np.int16).reshape(na, m)
+    b = np.array(draw(rows(nb, -1)), dtype=np.int16).reshape(nb, m)
     return a, b
 
 
@@ -555,6 +557,14 @@ def test_decode_gives_back_the_encoded_rows(table, tokens):
     assert [system.feature_index(f) for f in table.features] == list(range(len(table.features)))
     with pytest.raises(UnknownFeature):
         system.feature_index("no such feature")
+
+
+def test_lookup_gives_an_unseen_token_one_more_code():
+    encoded = EncodedTable.from_rows((("a", "x"), ("b", "x")), 2)
+    codes = encoded.lookup((("b", "x"), ("c", "y"), ("a", "y")))
+    assert codes.tolist() == [[1, 0], [2, 1], [0, 1]]
+    assert codes.dtype == encoded.codes.dtype
+    assert dis_count_matrix(codes, encoded.codes).tolist() == [[1, 0], [2, 2], [1, 2]]
 
 
 # --- object sets as integer bitsets ------------------------------------------

@@ -99,26 +99,8 @@ def test_granule_requires_symmetric_inclusion():
         granule(0.5, 0.5, ResidualInclusion())
 
 
-@pytest.mark.parametrize(
-    "build",
-    [lambda inc: granule(0, 0.5, inc), lambda inc: all_granules(0.5, inc)],
-    ids=["granule", "all_granules"],
-)
-def test_granules_need_an_inclusion_over_a_table(build):
-    with pytest.raises(MereomlError, match="^granules need an inclusion over a table's objects$"):
-        build(ArchimedeanInclusion())
-
-
-def test_granule_radius_bounds():
-    inc = LukasiewiczInclusion(T)
-    with pytest.raises(MereomlError):
-        granule(0, Fraction(3, 2), inc)
-    with pytest.raises(MereomlError):
-        granule(0, -0.1, inc)
-
-
 class _PlainInclusion(RoughInclusion):
-    """Symmetric inclusion without a mask method, to exercise the slow path."""
+    """Symmetric inclusion over a table's objects, with a degree but no membership bound."""
 
     symmetric = True
 
@@ -129,12 +111,23 @@ class _PlainInclusion(RoughInclusion):
         return ind_fraction(x, y, self.system)
 
 
-def test_granule_without_mask_support():
-    slow = _PlainInclusion(T)
-    fast = LukasiewiczInclusion(T)
-    for r in (0, Fraction(1, 2), 1):
-        for x in T.objects:
-            assert granule(x, r, slow).members == granule(x, r, fast).members
+@pytest.mark.parametrize(
+    "build",
+    [lambda inc: granule(0, 0.5, inc), lambda inc: all_granules(0.5, inc)],
+    ids=["granule", "all_granules"],
+)
+def test_granules_need_an_inclusion_over_a_table(build):
+    for inclusion in ArchimedeanInclusion(), _PlainInclusion(T):
+        with pytest.raises(MereomlError, match="^granules need an inclusion over a table's objects$"):
+            build(inclusion)
+
+
+def test_granule_radius_bounds():
+    inc = LukasiewiczInclusion(T)
+    with pytest.raises(MereomlError):
+        granule(0, Fraction(3, 2), inc)
+    with pytest.raises(MereomlError):
+        granule(0, -0.1, inc)
 
 
 def test_all_granules_in_object_order():

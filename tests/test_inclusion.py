@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -659,10 +660,23 @@ def test_exponential_mask_at_zero_radius():
     assert inc.membership_mask(1, -1).all()
     # a float rounds this radius to 0.0; compared exactly, every degree passes it
     assert inc.membership_mask(1, Fraction(1, 10**400)).all()
-    # no degree passes a radius above 1
+    # as degree >= r: every degree passes -inf, none passes a radius above
+    # 1 or NaN
     for kind in LukasiewiczInclusion(T3), inc:
-        assert not kind.membership_mask(1, 1.5).any()
-        assert kind.membership_bits(1.5) == [0] * len(T3.rows)
+        assert kind.membership_mask(1, -math.inf).all()
+        assert kind.membership_bits(-math.inf) == [2 ** len(T3.rows) - 1] * len(T3.rows)
+        for r in 1.5, math.inf, math.nan:
+            assert not kind.membership_mask(1, r).any()
+            assert kind.membership_bits(r) == [0] * len(T3.rows)
+
+
+def test_explicit_weight_granules_sort_the_pair_sums_once():
+    table = _seeded_table(40, 6)
+    inc = _table_inclusions(table)[2]
+    with mock.patch.object(np, "sort", wraps=np.sort) as sort:
+        granules = [granule(c, 0.5, inc).members for c in table.objects]
+        assert granules == [g.members for g in all_granules(0.5, inc)]
+    assert sort.call_count == 1
 
 
 def test_exponential_inclusion_respects_custom_weights():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import shlex
 import tracemalloc
 from fractions import Fraction
@@ -90,6 +91,10 @@ def test_consumer_from_explicit_selectors():
     assert top.targets == (0,)
     with pytest.raises(NetworkError):
         consumer_from("top", [b, c], selectors=[(0, 1, 2)])
+    # an id outside its producer names no row, even one a negative index reaches
+    for bad in (-1, 0), (0, 2), (3, 0):
+        with pytest.raises(NetworkError, match=re.escape(f"selector {bad} of 'top' is outside")):
+            consumer_from("top", [b, c], selectors=[(0, 1), bad])
 
 
 def test_consumer_from_rejects_shared_features():
@@ -535,6 +540,18 @@ def test_product_consumer_matches_eager_reference(producers, data):
     assert lazy.targets == eager.targets
     assert lazy == eager and eager == lazy
     assert hash(lazy) == hash(eager)
+
+    # explicit selectors in range: the same agent, or the same error when
+    # no selector fuses only producer targets
+    selector = strat.tuples(*(strat.integers(0, len(p.system.rows) - 1) for p in producers))
+    selectors = data.draw(strat.lists(selector, max_size=8))
+    outcomes = []
+    for build in consumer_from, ref_consumer_from:
+        try:
+            outcomes.append(build("top", producers, selectors))
+        except NetworkError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
 
     inc_lazy = LukasiewiczInclusion(lazy.system)
     inc_eager = LukasiewiczInclusion(eager.system)
