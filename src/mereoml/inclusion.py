@@ -15,10 +15,10 @@ what makes the bound sound (see the function docstring).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence, Union
 
@@ -30,6 +30,7 @@ from .dataset import (
     DecisionSystem,
     InformationSystem,
     _conditional,
+    _pair,
     dis,
     dis_count_matrix,
     ind_fraction,
@@ -56,10 +57,6 @@ def residuum_lukasiewicz(a: float, b: float) -> float:
 def lukasiewicz_h(t: float) -> float:
     """Decreasing generator companion with h(0)=1; here simply 1-t."""
     return 1 - t
-
-
-#: Additive generator of the Lukasiewicz t-norm; coincidentally equals h.
-lukasiewicz_g = lukasiewicz_h
 
 
 # --- maximal-degree functions -----------------------------------------------
@@ -287,68 +284,71 @@ class LukasiewiczInclusion(_TableInclusion):
         return self.dis_counts, math.floor(m * (1 - Fraction(max(r, 0)))) if r <= 1 else -1
 
 
+_BITS, _DOUBLE = struct.Struct("<q"), struct.Struct("<d")
+
+
+@lru_cache
+def _exp_bound(r) -> float:
+    """The largest double s >= 0 (inf included) with ``math.exp(-(s * s)) >= r``,
+    or -1.0: the test fails more as s grows and non-negative doubles sort as
+    their int64 bit patterns, so <= 64 tests bisect the patterns.  A granule
+    loop asks for one radius at every center, so the last 128 are kept."""
+    lo, hi = 0, _BITS.unpack(_DOUBLE.pack(math.inf))[0] + 1
+    while lo < hi:  # the patterns below lo pass, those from hi on fail
+        mid = (lo + hi) // 2
+        s = _DOUBLE.unpack(_BITS.pack(mid))[0]
+        lo, hi = (mid + 1, hi) if math.exp(-(s * s)) >= r else (lo, mid)
+    return _DOUBLE.unpack(_BITS.pack(lo - 1))[0] if lo else -1.0
+
+
 @dataclass(frozen=True)
 class ExponentialInclusion(_TableInclusion):
     """Object containment exp(-(weighted differing-feature sum)^2); symmetric.
 
-    A degree is :func:`rs_star_exp` of the two rows.  Explicit weights must
-    weigh every table feature.  Granules under the default uniform weights
-    read ``dis_counts``, k differing features summing to ``_sums_by_count[k]``;
-    explicit weights sum per pair in ``dis_weight_sums``, sorted once.  A granule
-    keeps the sums whose float degree, formed as :func:`rs_star_exp` forms it, is >= r.
+    Its weights, uniform by default, are read once in table feature order and
+    must weigh every table feature; a degree is :func:`exp_row_degree` of the
+    two rows.  Granules read ``dis_counts`` under uniform weights, k differing
+    features summing to ``_sums_by_count[k]``, and ``dis_weight_sums`` under
+    explicit ones.
     """
 
     system: InformationSystem | DecisionSystem
     weights: FeatureWeights | None = None
 
-    def __post_init__(self):
-        if self.weights is not None:
-            for f in self._table.features:
-                self.weights(f)  # raises for a feature without a weight
+    def __post_init__(self):  # raises for a table feature without a weight
+        features = self._table.features
+        fw = self.weights or FeatureWeights.uniform(features)
+        object.__setattr__(self, "_weights", FeatureWeights(features, tuple(map(fw, features))))
 
     @cached_property
     def _sums_by_count(self) -> np.ndarray:
-        """The uniform weight added k times in feature order, for k = 0..|F|.
-
-        Bit-equal to the sum that :func:`exp_row_degree` forms over k
-        differing features.
-        """
-        uniform = FeatureWeights.uniform(self._table.features).values
-        return np.array(list(accumulate(uniform, initial=0.0)))
+        """The uniform weight added k times, k = 0..|F|: bit-equal to the sum
+        that :func:`exp_row_degree` forms over k differing features."""
+        return np.array(list(accumulate(self._weights.values, initial=0.0)))
 
     @cached_property
     def dis_weight_sums(self) -> np.ndarray:
         """Pairwise weight sum of the differing features, as float64.
 
-        Explicit weights accumulate one column at a time in feature order,
-        so memory stays O(n^2) and each sum adds the same floats in the same
-        order as :func:`exp_row_degree`.
+        Explicit weights are added in place, one column at a time in feature
+        order where its codes differ, so no float temporary is built and each
+        sum adds the same floats in the same order as :func:`exp_row_degree`.
         """
         if self.weights is None:
             return self._sums_by_count[self.dis_counts]
-        table = self._table
-        out = np.zeros((len(table.rows),) * 2)
-        for col, f in zip(np.ascontiguousarray(self.system.encoded.codes.T), table.features):
-            out += (col[:, None] != col[None, :]) * self.weights(f)
+        out = np.zeros((len(self._table.rows),) * 2)
+        for col, w in zip(np.ascontiguousarray(self.system.encoded.codes.T), self._weights.values):
+            np.add(out, w, out=out, where=col[:, None] != col[None, :])
         return out
 
-    @cached_property
-    def _sorted_weight_sums(self) -> np.ndarray:
-        return np.sort(self.dis_weight_sums, axis=None)
-
     def degree(self, x: int, y: int) -> float:
-        return rs_star_exp(x, y, self.system, self.weights)
+        _, rx, ry = _pair(x, y, self.system)
+        return exp_row_degree(rx, ry, self._weights)
 
     def _bounded(self, r) -> tuple[np.ndarray, float]:
-        """The counts, or under explicit weights the sums, and the largest one
-        whose degree passes ``math.exp(-(s * s)) >= r``, or -1 if none does.
-
-        The degree falls as the sum grows, so the sorted sums bisect under the
-        negated test, and a NaN radius, which no degree passes, keeps no object.
-        """
-        uniform = self.weights is None
-        sums = self._sums_by_count if uniform else self._sorted_weight_sums
-        k = bisect_left(sums, True, key=lambda s: not math.exp(-(s * s)) >= r)
-        if uniform:
-            return self.dis_counts, k - 1
-        return self.dis_weight_sums, sums[k - 1] if k else -1
+        """The counts and the largest count whose sum is at most :func:`_exp_bound`,
+        or under explicit weights the sums and that bound; -1 keeps no object."""
+        bound = _exp_bound(r)
+        if self.weights is None:
+            return self.dis_counts, int(np.searchsorted(self._sums_by_count, bound, "right")) - 1
+        return self.dis_weight_sums, bound

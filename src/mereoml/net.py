@@ -85,8 +85,8 @@ def consumer_from(
     and selectors are :class:`CartesianRows` that decode a row from its
     mixed-radix index on demand, and the targets are computed as such
     indices.  An explicit selector list (tuples of producer object ids)
-    narrows the universe to those rows: each selector is one product index,
-    and an id outside its producer raises :class:`NetworkError`.
+    narrows the universe to those rows, a row being a target iff its ids are
+    targets; an id outside its producer raises :class:`NetworkError`.
     """
     if not producers:
         raise NetworkError("a consumer needs at least one producer")
@@ -99,9 +99,9 @@ def consumer_from(
     sizes = [len(p.system.rows) for p in producers]
     strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
     universe = CartesianRows(p.system.rows for p in producers)
-    fused_targets = itertools.product(*(sorted(set(p.targets)) for p in producers))
-    targets = tuple(sum(map(operator.mul, sel, strides)) for sel in fused_targets)
     if selectors is None:
+        fused_targets = itertools.product(*(sorted(set(p.targets)) for p in producers))
+        targets = tuple(sum(map(operator.mul, sel, strides)) for sel in fused_targets)
         rows, selectors = universe, CartesianRows(tuple((i,) for i in range(n)) for n in sizes)
     else:
         indices = []
@@ -112,9 +112,9 @@ def consumer_from(
                 raise NetworkError(f"selector {sel} of {name!r} is outside its producers")
             indices.append(sum(map(operator.mul, sel, strides)))
         rows = tuple(map(universe.__getitem__, indices))
-        fused = set(targets)
-        targets = tuple(i for i, k in enumerate(indices) if k in fused)
         selectors = tuple(map(tuple, selectors))
+        sets = [set(p.targets) for p in producers]
+        targets = tuple(i for i, s in enumerate(selectors) if all(map(operator.contains, sets, s)))
     return Agent(name, InformationSystem(tuple(features), rows), targets, tuple(producers), selectors)
 
 

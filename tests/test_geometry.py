@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -45,6 +44,7 @@ from mereoml import (
     write_trajectory_svg,
 )
 from mereoml.formation import _compile
+from memory import traced_peak
 
 
 def sq(cx, cy, half=0.05):
@@ -575,12 +575,7 @@ def test_potential_field_memory_stays_linear_in_the_cells():
     n = 512
     world = open_world(n, n, Rect(0, 0, 1, 1))
     build_potential(open_world(2, 2, Rect(0, 0, 1, 1)))
-    tracemalloc.start()
-    try:
-        field = build_potential(world)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    field, peak = traced_peak(build_potential, world)
     assert field.values[n - 1, n - 1] == 2 * (n - 1)
     # the field keeps 8 B of values and 1 B of blocked per cell; the fill
     # adds 1 B of unseen per cell and its short frontier index lists, so it

@@ -3,7 +3,6 @@
 import math
 import operator
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from statistics import fmean
@@ -50,6 +49,7 @@ from mereoml import (
 from mereoml import granulation
 from mereoml.bits import MemberView, member_bits
 from mereoml.granulation import RadiusResult
+from memory import traced_peak
 from strategies import decision_tables, granules_for, tables
 
 
@@ -733,16 +733,6 @@ def test_logic_reads_views_as_sets():
     assert is_valid(iter(views), formula, system) == is_valid(plain[:9], formula, system)
 
 
-def _peak(fn, *args):
-    """Tracemalloc peak, in bytes, of one call."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_granular_mirror_memory_on_all_distinct_columns():
     # every column has n distinct tokens, and at radius 1 every granule is a
     # singleton: the widest vocabularies and the largest covering at once
@@ -758,12 +748,12 @@ def test_granular_mirror_memory_on_all_distinct_columns():
     )
     assert len(covering.granules) == n
     system.encoded
-    assert _peak(granular_mirror, covering, system) < 16 * n * n
+    assert traced_peak(granular_mirror, covering, system)[1] < 16 * n * n
 
 
 def test_run_decider_memory_on_a_credit_sized_table():
     system = _credit_shaped(1, 690)
-    assert _peak(run_decider, system, 5, 0) < 12 * 2**20
+    assert traced_peak(run_decider, system, 5, 0)[1] < 12 * 2**20
 
 
 @pytest.mark.parametrize("kind", ["lukasiewicz", "exp"])
@@ -772,11 +762,11 @@ def test_all_granules_memory_beside_the_counts(kind):
     n = 2000
     inc = make_inclusion(kind, _credit_shaped(1, n))
     inc.dis_counts
-    assert _peak(all_granules, Fraction(1, 7), inc) < n * n / 2
+    assert traced_peak(all_granules, Fraction(1, 7), inc)[1] < n * n / 2
 
 
 def test_run_decider_holds_one_fold_at_a_time():
     # five folds' count matrices alone would take 5 * (4n/5)^2 = 3.2 n^2 bytes
     n = 2000
     system = _credit_shaped(1, n)
-    assert _peak(run_decider, system, 5, 0, [Fraction(1, 2)]) < 2 * n * n
+    assert traced_peak(run_decider, system, 5, 0, [Fraction(1, 2)])[1] < 2 * n * n

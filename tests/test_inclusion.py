@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -50,6 +49,7 @@ from mereoml import (
     rs_star_weight,
     t_lukasiewicz,
 )
+from memory import traced_peak
 from strategies import tables
 
 ABCD = Carrier(("a", "b", "c", "d"))
@@ -405,12 +405,7 @@ def test_dis_counts_memory_stays_quadratic():
     n, m = 600, 14
     rows = tuple(tuple(str(rng.randrange(5)) for _ in range(m)) for _ in range(n))
     inc = LukasiewiczInclusion(InformationSystem(tuple(f"f{j}" for j in range(m)), rows))
-    tracemalloc.start()
-    try:
-        counts = inc.dis_counts
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    counts, peak = traced_peak(lambda: inc.dis_counts)
     assert counts.shape == (n, n)
     assert peak < 4 * n * n
 
@@ -440,12 +435,7 @@ def test_dis_weight_sums_memory_stays_quadratic():
     """The float sums never hold an objects^2 x features intermediate."""
     n = 600
     inc = ExponentialInclusion(_seeded_table(n, 14))
-    tracemalloc.start()
-    try:
-        sums = inc.dis_weight_sums
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sums, peak = traced_peak(lambda: inc.dis_weight_sums)
     assert sums.shape == (n, n)
     assert peak < 20 * n * n
 
@@ -462,12 +452,7 @@ def test_dis_weight_sums_memory_stays_quadratic():
 )
 def test_one_degree_reads_two_rows_not_the_matrix(make):
     inc = make(_seeded_table(2000, 14))
-    tracemalloc.start()
-    try:
-        inc.degree(0, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(inc.degree, 0, 1)
     assert peak < 1_000_000
 
 
@@ -581,15 +566,43 @@ def test_explicit_weights_keep_their_own_sums():
     assert inc.degree(3, 7).hex() == _matrix_degree(inc, 3, 7).hex()
 
 
+def test_explicit_weight_family_memory_stays_below_ten_bytes_a_pair():
+    # the float sums take 8 B a pair and the where-mask of one column 1 B
+    n, m = 1000, 14
+    table = _seeded_table(n, m)
+    inc = ExponentialInclusion(table, FeatureWeights(table.features, tuple(1 / (j + 2) for j in range(m))))
+    granules, peak = traced_peak(all_granules, 0.5, inc)
+    assert len(granules) == n
+    assert peak <= 10 * n * n
+
+
+_PASS_SUMS = strat.floats(min_value=0, allow_infinity=True)
+
+
+@hypothesis.given(_PASS_SUMS, _PASS_SUMS, strat.floats(allow_nan=True, allow_infinity=True))
+def test_the_exp_pass_test_is_monotone_in_the_sum(s1, s2, r):
+    """The bound search bisects the sums, which holds only if passing is monotone."""
+    s1, s2 = sorted((s1, s2))
+    if math.exp(-(s2 * s2)) >= r:
+        assert math.exp(-(s1 * s1)) >= r
+
+
+@hypothesis.given(strat.floats(allow_nan=True, allow_infinity=True))
+def test_the_exp_bound_is_the_largest_passing_float(r):
+    inc = ExponentialInclusion(T3, FeatureWeights(T3.features, (0.5, 0.25, 0.25)))
+    _, bound = inc._bounded(r)
+    if bound == -1:
+        assert not math.exp(-0.0) >= r
+    else:
+        assert math.exp(-(bound * bound)) >= r
+        above = math.nextafter(bound, math.inf)
+        assert bound == math.inf or not math.exp(-(above * above)) >= r
+
+
 def test_exponential_membership_memory_stays_below_four_bytes_a_pair():
     n = 600
     inc = ExponentialInclusion(_seeded_table(n, 14))
-    tracemalloc.start()
-    try:
-        matrix = _mask_matrix(inc, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    matrix, peak = traced_peak(_mask_matrix, inc, 0.5)
     assert matrix.shape == (n, n)
     assert peak < 4 * n * n
 
@@ -670,13 +683,14 @@ def test_exponential_mask_at_zero_radius():
             assert kind.membership_bits(r) == [0] * len(T3.rows)
 
 
-def test_explicit_weight_granules_sort_the_pair_sums_once():
+def test_explicit_weight_granules_sort_nothing():
+    """The bound comes from the degree's test alone, not from the pair sums."""
     table = _seeded_table(40, 6)
     inc = _table_inclusions(table)[2]
     with mock.patch.object(np, "sort", wraps=np.sort) as sort:
         granules = [granule(c, 0.5, inc).members for c in table.objects]
         assert granules == [g.members for g in all_granules(0.5, inc)]
-    assert sort.call_count == 1
+    assert sort.call_count == 0
 
 
 def test_exponential_inclusion_respects_custom_weights():

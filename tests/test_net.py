@@ -5,7 +5,6 @@ import math
 import random
 import re
 import shlex
-import tracemalloc
 from fractions import Fraction
 
 import hypothesis
@@ -39,6 +38,7 @@ from mereoml import (
 )
 from mereoml.cli import main
 from mereoml.bits import MemberView
+from memory import traced_peak
 
 
 def agent_b():
@@ -95,6 +95,20 @@ def test_consumer_from_explicit_selectors():
     for bad in (-1, 0), (0, 2), (3, 0):
         with pytest.raises(NetworkError, match=re.escape(f"selector {bad} of 'top' is outside")):
             consumer_from("top", [b, c], selectors=[(0, 1), bad])
+
+
+def test_explicit_consumer_cost_follows_its_selectors():
+    # every row of both producers is a target: the fused targets number
+    # 600 * 600, and a consumer of two selectors reads only those two
+    n = 600
+    producers = [
+        Agent(name, InformationSystem((name + "0",), tuple((str(i),) for i in range(n))), tuple(range(n)))
+        for name in "bc"
+    ]
+    top, peak = traced_peak(consumer_from, "top", producers, [(0, 1), (599, 3)])
+    assert top.targets == (0, 1)
+    assert top.system.rows == (("0", "1"), ("599", "3"))
+    assert peak < 1_000_000
 
 
 def test_consumer_from_rejects_shared_features():
@@ -611,11 +625,6 @@ def test_load_network_keeps_the_product_implicit(tmp_path):
     path = tmp_path / "big.net"
     path.write_text(product_net_text(16), encoding="utf-8")
     load_network(path)  # warm imports and caches outside the measurement
-    tracemalloc.start()
-    try:
-        net = load_network(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    net, peak = traced_peak(load_network, path)
     assert sum(len(a.system.rows) for layer in net.layers for a in layer) == 66_112
     assert peak < 1_000_000
