@@ -9,6 +9,7 @@ error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -94,7 +95,9 @@ def _load_table(args):
     return system
 
 
-def _add_table_flags(p: argparse.ArgumentParser, need_decision: bool) -> None:
+def _add_table_flags(
+    p: argparse.ArgumentParser, need_decision: bool, inclusion: bool = False
+) -> None:
     p.add_argument("csv", help="table file, first row is the header")
     p.add_argument(
         "--decision", required=need_decision, help="name of the decision column"
@@ -104,6 +107,12 @@ def _add_table_flags(p: argparse.ArgumentParser, need_decision: bool) -> None:
         "--discretize",
         help="comma list col:bins of numeric columns to bin (equal frequency)",
     )
+    if inclusion:
+        p.add_argument(
+            "--inclusion",
+            choices=sorted(granulation.INCLUSION_KINDS),
+            default="lukasiewicz",
+        )
 
 
 def _cmd_load(args) -> int:
@@ -143,13 +152,7 @@ def _cmd_classify(args) -> int:
     _emit(
         {
             "per_radius": [
-                {
-                    "radius": float(rr.radius),
-                    "accuracy": rr.accuracy,
-                    "coverage": rr.coverage,
-                    "granules": rr.granules,
-                    "reduction": rr.reduction,
-                }
+                {**dataclasses.asdict(rr), "radius": float(rr.radius)}
                 for rr in report.per_radius
             ],
             "best_radius": float(report.best_radius),
@@ -273,24 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_load)
 
     p = sub.add_parser("classify", help="cross-validated granular classification")
-    _add_table_flags(p, need_decision=True)
-    p.add_argument(
-        "--inclusion",
-        choices=sorted(granulation.INCLUSION_KINDS),
-        default="lukasiewicz",
-    )
+    _add_table_flags(p, need_decision=True, inclusion=True)
     p.add_argument("--folds", type=_int_at_least(2), default=5)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--radii", help="comma list of radii (fractions or decimals)")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("granulate", help="dump a granular mirror as CSV")
-    _add_table_flags(p, need_decision=True)
-    p.add_argument(
-        "--inclusion",
-        choices=sorted(granulation.INCLUSION_KINDS),
-        default="lukasiewicz",
-    )
+    _add_table_flags(p, need_decision=True, inclusion=True)
     p.add_argument("--radius", required=True)
     p.add_argument("--out", help="target CSV path (default stdout)")
     p.set_defaults(func=_cmd_granulate)

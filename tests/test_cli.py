@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -16,11 +17,17 @@ from unittest import mock
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
+from memory import traced_peak
 
 import mereoml
 from mereoml import cli, discretize, load_csv
 from mereoml.cli import main
 from mereoml.errors import MereomlError
+
+_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("gen", _GEN)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 SCHEMAS = json.loads(
     resources.files("mereoml").joinpath("schemas/cli_output.json").read_text()
@@ -655,6 +662,19 @@ def test_logic_formula_of_the_deepest_allowed_nesting_evaluates(capsys, table_cs
     assert payload["formula"] == "!" * 98 + "a=1"
 
 
+@pytest.mark.parametrize("rows", [1250, 2500])
+def test_logic_command_memory_stays_below_two_and_a_half_bytes_a_pair(capsys, tmp_path, rows):
+    path = tmp_path / "table.csv"
+    path.write_text(gen.prototype_table(0, rows), encoding="utf-8")
+    argv = [
+        "logic", str(path), "--decision", gen.DECISION, "--discretize", gen.DISCRETIZE,
+        "--granules-from", "1/2,lukasiewicz", "--eval", gen.RULE_POOL[0],
+    ]
+    code, peak = traced_peak(main, argv)
+    assert code == 0, capsys.readouterr().err
+    assert peak < 2.5 * rows * rows
+
+
 # --- net -------------------------------------------------------------------
 
 
@@ -682,9 +702,10 @@ def test_net_line_with_an_unclosed_quote_is_malformed(capsys, tmp_path):
     [
         ("layer junk\n", "malformed line 1: 'layer junk'"),
         ("layer\nagent a junk words\n", "malformed line 2: 'agent a junk words'"),
+        ("layer\nagent a junk\nfeatures f\nobject 0\ntarget 0\n", "malformed line 2: 'agent a junk'"),
         ("layer\nagent a\nfeatures f\nobject 0\ntarget 0 7\n", "malformed line 5: 'target 0 7'"),
     ],
-    ids=["layer", "agent", "target"],
+    ids=["layer", "agent", "agent-one-word", "target"],
 )
 def test_net_line_with_extra_words_is_malformed(capsys, tmp_path, text, line):
     path = tmp_path / "extra.net"
